@@ -6,17 +6,22 @@
 //! deterministic jitter (replay stays byte-identical), a per-shard circuit
 //! breaker, the profit gate that decides when serving a stale last-known-good
 //! value beats refetching, and the negative-cache sizing knobs.
+//! [`FetchFailure`] is the compile-time switch between the fallible lookups
+//! that take part in all of this and the infallible ones that stay out of
+//! it.
 //!
 //! Everything here is pure state + logical time: the breaker takes an
 //! explicit `now` [`Timestamp`] instead of reading a clock, so the checker
 //! can drive it through interleavings and trace replay stays deterministic.
 
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::clock::Timestamp;
+use crate::engine::watchman::Lookup;
 use crate::value::ExecutionCost;
 
 /// Deterministic 64-bit mix (splitmix64 finalizer).  Shared by the retry
@@ -458,6 +463,77 @@ impl fmt::Display for LookupError {
 impl Error for LookupError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         Some(self.error.as_ref())
+    }
+}
+
+/// The failure type of a lookup's fetch.  It selects, at compile time, how
+/// the one lookup machine ([`LookupFuture`](crate::engine::LookupFuture)) treats failure:
+///
+/// * [`FetchError`] — the `try_get_or_execute*` front doors.  The lookup
+///   consults and feeds the failure domain (negative cache, circuit
+///   breaker, stale store) and resolves to `Result<Lookup<V>, LookupError>`.
+/// * [`Infallible`] — the `get_or_execute*` front doors.  The fetch cannot
+///   fail, so the lookup stays out of the failure domain, resolves to a
+///   plain [`Lookup`], and — having no error to surface — restarts with its
+///   own fetch when a fallible leader fails a flight it shares.
+///
+/// The trait is sealed: these two are the engine's only failure semantics.
+pub trait FetchFailure: sealed::Sealed + Send + Sized + 'static {
+    /// What a lookup whose fetch fails with this type resolves to.
+    type Output<V>;
+    /// Whether the lookup consults and feeds the failure domain.
+    const FAILURE_DOMAIN: bool;
+    /// This fetch error as the engine's shared error type.
+    fn into_fetch_error(self) -> FetchError;
+    /// A successfully resolved lookup.
+    fn resolved<V>(lookup: Lookup<V>) -> Self::Output<V>;
+    /// A lookup whose flight failed: resolved through `resolve` (a stale
+    /// serve or the shared error), or `None` when this kind of lookup cannot
+    /// fail and must look the key up afresh instead.
+    fn failed<V>(
+        resolve: impl FnOnce() -> Result<Lookup<V>, LookupError>,
+    ) -> Option<Self::Output<V>>;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for crate::engine::FetchError {}
+    impl Sealed for std::convert::Infallible {}
+}
+
+impl FetchFailure for FetchError {
+    type Output<V> = Result<Lookup<V>, LookupError>;
+    const FAILURE_DOMAIN: bool = true;
+
+    fn into_fetch_error(self) -> FetchError {
+        self
+    }
+
+    fn resolved<V>(lookup: Lookup<V>) -> Self::Output<V> {
+        Ok(lookup)
+    }
+
+    fn failed<V>(
+        resolve: impl FnOnce() -> Result<Lookup<V>, LookupError>,
+    ) -> Option<Self::Output<V>> {
+        Some(resolve())
+    }
+}
+
+impl FetchFailure for Infallible {
+    type Output<V> = Lookup<V>;
+    const FAILURE_DOMAIN: bool = false;
+
+    fn into_fetch_error(self) -> FetchError {
+        match self {}
+    }
+
+    fn resolved<V>(lookup: Lookup<V>) -> Lookup<V> {
+        lookup
+    }
+
+    fn failed<V>(_: impl FnOnce() -> Result<Lookup<V>, LookupError>) -> Option<Lookup<V>> {
+        None
     }
 }
 

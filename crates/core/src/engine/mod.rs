@@ -7,14 +7,20 @@
 //! * [`Watchman`] — a builder-configured facade that hash-partitions the
 //!   keyspace by query signature across N per-shard policy instances and
 //!   shares payloads as `Arc<V>`;
-//! * [`Watchman::get_or_execute`] / [`Watchman::get_or_execute_async`] —
-//!   the session entry points, with **single-flight** deduplication so
-//!   concurrent misses on the same query execute the warehouse query exactly
-//!   once.  Both front doors drive one poll-based implementation
-//!   ([`LookupFuture`]): the async one suspends waiting sessions as futures
-//!   on the engine's [`Runtime`](crate::runtime::Runtime) (a waiting session
-//!   costs a waker, not a parked OS thread), the sync one is a
-//!   [`block_on`](crate::runtime::block_on) shim over the same code;
+//! * [`Watchman::get_or_execute`] / [`Watchman::get_or_execute_async`] and
+//!   their fallible twins [`Watchman::try_get_or_execute`] /
+//!   [`Watchman::try_get_or_execute_async`] — the session entry points,
+//!   with **single-flight** deduplication so concurrent misses on the same
+//!   query execute the warehouse query exactly once.  All four drive one
+//!   lookup pipeline, the [`LookupFuture`] state machine (hit, coalesce,
+//!   lead, take over, complete, fail): the async front doors suspend
+//!   waiting sessions as futures on the engine's
+//!   [`Runtime`](crate::runtime::Runtime) (a waiting session costs a waker,
+//!   not a parked OS thread), the sync ones are
+//!   [`block_on`](crate::runtime::block_on) shims over the same code.  The
+//!   infallible front doors wrap their closure as a fetch that cannot fail;
+//!   the fetch's error type ([`FetchFailure`]) is the only thing that tells
+//!   the two kinds apart;
 //! * [`PolicyKind`] — the one construction path for every replacement /
 //!   admission policy, shared by the engine, the simulator and the examples;
 //! * [`CacheEvent`] / [`CacheObserver`] — the lifecycle event stream that
@@ -36,18 +42,26 @@
 //! waiters keep sleeping until the new leader completes the same flight
 //! cell, and the panic is re-raised on the original leader's session.
 //!
-//! Expected failures — the warehouse itself erroring out — go through the
-//! *fallible* front doors [`Watchman::try_get_or_execute`] /
-//! [`Watchman::try_get_or_execute_async`], whose fetch closures return
-//! `Result<(V, ExecutionCost), FetchError>`.  A terminal error (retry
-//! budget from [`RetryPolicy`] exhausted, or a fatal error) resolves the
-//! flight for **every** coalesced waiter with one shared
-//! `Arc<FetchError>`, feeds a short-TTL per-key negative cache, and trips
-//! the per-shard [`CircuitBreaker`] once the rolling failure rate crosses
-//! its threshold.  When a [`StalenessPolicy`] is configured and its profit
-//! gate passes, failed lookups are answered from the shard's last-known-good
-//! store as [`LookupSource::Stale`] — accounted separately so degraded
-//! answers never inflate the paper's CSR.
+//! Expected failures — the warehouse itself erroring out — are fetches that
+//! return `Err(`[`FetchError`]`)` through the *fallible* front doors
+//! [`Watchman::try_get_or_execute`] / [`Watchman::try_get_or_execute_async`].
+//! The leader retries transient errors under the [`RetryPolicy`], sleeping
+//! its backoff on the runtime timer while waiters keep coalescing onto the
+//! same flight.  A terminal error (retry budget exhausted, or a fatal
+//! error) resolves the flight for **every** coalesced waiter with one
+//! shared `Arc<FetchError>`, feeds a short-TTL per-key negative cache, and
+//! trips the per-shard [`CircuitBreaker`] once the rolling failure rate
+//! crosses its threshold.  When a [`StalenessPolicy`] is configured and its
+//! profit gate passes, failed lookups are answered from the shard's
+//! last-known-good store as [`LookupSource::Stale`] — accounted separately
+//! so degraded answers never inflate the paper's CSR.
+//!
+//! The infallible front doors run the same machine with the
+//! [`Infallible`](std::convert::Infallible) error type, which keeps them out
+//! of this failure domain at compile time: they never consult the negative
+//! cache or the breaker, never feed either or the stale store, and when a
+//! fallible leader fails a flight they share, they restart with their own
+//! fetch instead of surfacing the error.
 //!
 //! ## Quick start
 //!
@@ -82,13 +96,13 @@ mod watchman;
 pub use events::{CacheEvent, CacheObserver, EventCounters};
 pub use failure::{
     splitmix64, BreakerConfig, BreakerState, CircuitBreaker, FailureConfig, FetchError,
-    LookupError, NegativeCacheConfig, RetryPolicy, StalenessPolicy,
+    FetchFailure, LookupError, NegativeCacheConfig, RetryPolicy, StalenessPolicy,
 };
 pub use policy_kind::PolicyKind;
 pub use rebalance::{RebalanceConfig, RebalanceOutcome};
 pub use watchman::{
     DeadlineLookup, KeyNormalizer, Lookup, LookupFuture, LookupSource, LookupTimedOut,
-    StatsSnapshot, TryLookupFuture, Watchman, WatchmanBuilder,
+    StatsSnapshot, Watchman, WatchmanBuilder,
 };
 
 #[cfg(test)]
@@ -1553,5 +1567,217 @@ mod tests {
         let json = serde_json::to_string(&snapshot).expect("snapshot serializes");
         let back: StatsSnapshot = serde_json::from_str(&json).expect("snapshot parses");
         assert_eq!(snapshot, back, "JSON round trip must be exact");
+    }
+
+    /// Polls `future` once with a no-op waker, for tests that must place a
+    /// session on a flight before the flight resolves.
+    fn poll_once<F: std::future::Future + Unpin>(future: &mut F) -> std::task::Poll<F::Output> {
+        let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+        std::pin::Pin::new(future).poll(&mut cx)
+    }
+
+    #[test]
+    fn leader_panic_after_a_retry_backoff_abandons_its_flight_once() {
+        // Regression: a sync fallible leader that backs off after a
+        // transient error and then panics on its retry used to abandon its
+        // flight twice — once through the abandon guard, once more from the
+        // future's drop, which still saw the backoff state.  The second
+        // abandon found no registered waiter and retired the cell while the
+        // woken waiter still held the takeover claim, so a later arrival
+        // ran the same key's fetch a second time.
+        use std::sync::mpsc;
+        let engine: Watchman<SizedPayload> = Watchman::builder()
+            .shards(1)
+            .policy(PolicyKind::LNC_RA)
+            .capacity_bytes(1 << 20)
+            .failure(FailureConfig {
+                retry: RetryPolicy {
+                    max_attempts: 2,
+                    base_delay: std::time::Duration::from_millis(20),
+                    max_delay: std::time::Duration::from_millis(20),
+                    jitter_seed: 3,
+                },
+                ..FailureConfig::default()
+            })
+            .runtime_workers(2)
+            .build();
+        let executions = Arc::new(AtomicU64::new(0));
+        let (leader_started_tx, leader_started_rx) = mpsc::channel::<()>();
+        let (leader_release_tx, leader_release_rx) = mpsc::channel::<()>();
+        let (takeover_started_tx, takeover_started_rx) = mpsc::channel::<()>();
+        let (takeover_release_tx, takeover_release_rx) = mpsc::channel::<()>();
+
+        // The waiter that will take over: its fetch holds the flight open
+        // until released.
+        let mut waiter = {
+            let executions = Arc::clone(&executions);
+            engine.try_get_or_execute_async(&key("flaky"), ts(2), move || {
+                takeover_started_tx.send(()).unwrap();
+                takeover_release_rx.recv().unwrap();
+                executions.fetch_add(1, Ordering::SeqCst);
+                payload_ok(64, 100)
+            })
+        };
+        std::thread::scope(|scope| {
+            let leader = {
+                let engine = engine.clone();
+                scope.spawn(move || {
+                    let mut attempt = 0;
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        engine.try_get_or_execute(&key("flaky"), ts(1), || {
+                            attempt += 1;
+                            if attempt == 1 {
+                                leader_started_tx.send(()).unwrap();
+                                leader_release_rx.recv().unwrap();
+                                Err(FetchError::transient("warehouse hiccup"))
+                            } else {
+                                panic!("warehouse connection lost on the retry")
+                            }
+                        })
+                    }))
+                })
+            };
+            leader_started_rx.recv().unwrap();
+            // The async waiter coalesces before the leader's error.
+            assert!(poll_once(&mut waiter).is_pending());
+            leader_release_tx.send(()).unwrap();
+            assert!(
+                leader.join().unwrap().is_err(),
+                "the retry's panic propagates to the leader"
+            );
+        });
+
+        // The waiter takes the flight over; its fetch runs on a worker.
+        assert!(poll_once(&mut waiter).is_pending());
+        takeover_started_rx.recv().unwrap();
+        assert_eq!(
+            engine.inflight_entries(),
+            1,
+            "the taken-over flight must stay registered while it fetches"
+        );
+        let mut third = {
+            let executions = Arc::clone(&executions);
+            engine.try_get_or_execute_async(&key("flaky"), ts(3), move || {
+                executions.fetch_add(1, Ordering::SeqCst);
+                payload_ok(64, 100)
+            })
+        };
+        assert!(poll_once(&mut third).is_pending());
+        takeover_release_tx.send(()).unwrap();
+        let taken_over = crate::runtime::block_on(waiter).expect("takeover succeeds");
+        assert_eq!(taken_over.source, LookupSource::Executed);
+        let joined = crate::runtime::block_on(third).expect("third lookup succeeds");
+        assert_eq!(joined.source, LookupSource::Coalesced);
+        assert_eq!(
+            executions.load(Ordering::SeqCst),
+            1,
+            "exactly one execution"
+        );
+        assert_eq!(engine.inflight_entries(), 0);
+    }
+
+    #[test]
+    fn infallible_lookups_stay_out_of_the_failure_domain() {
+        // The infallible front doors share the fallible lookup machine but
+        // not its failure semantics: they never surface a fetch error, never
+        // consult the negative cache and never touch the circuit breaker.
+        use std::sync::mpsc;
+
+        // A coalesced infallible waiter restarts when the fallible leader it
+        // shares a flight with fails terminally, and runs its own fetch.
+        let engine: Watchman<SizedPayload> = Watchman::builder()
+            .shards(1)
+            .policy(PolicyKind::LNC_RA)
+            .capacity_bytes(1 << 20)
+            .failure(no_retry())
+            .runtime_workers(2)
+            .build();
+        let own_fetches = Arc::new(AtomicU64::new(0));
+        let mut waiter = {
+            let own_fetches = Arc::clone(&own_fetches);
+            engine.get_or_execute_async(&key("shared"), ts(2), move || {
+                own_fetches.fetch_add(1, Ordering::SeqCst);
+                (SizedPayload::new(64), ExecutionCost::from_blocks(100))
+            })
+        };
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let leader = {
+                let engine = engine.clone();
+                scope.spawn(move || {
+                    engine.try_get_or_execute(&key("shared"), ts(1), || {
+                        started_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        Err::<(SizedPayload, ExecutionCost), _>(FetchError::fatal("gone"))
+                    })
+                })
+            };
+            started_rx.recv().unwrap();
+            assert!(poll_once(&mut waiter).is_pending(), "the waiter coalesces");
+            release_tx.send(()).unwrap();
+            assert!(
+                leader.join().unwrap().is_err(),
+                "the leader's error surfaces"
+            );
+        });
+        let lookup = crate::runtime::block_on(waiter);
+        assert_eq!(lookup.source, LookupSource::Executed);
+        assert_eq!(own_fetches.load(Ordering::SeqCst), 1);
+
+        // A fresh negative entry and an open breaker do not apply.
+        let engine: Watchman<SizedPayload> = Watchman::builder()
+            .shards(1)
+            .policy(PolicyKind::LNC_RA)
+            .capacity_bytes(1 << 20)
+            .failure(FailureConfig {
+                retry: RetryPolicy::none(),
+                breaker: Some(BreakerConfig {
+                    window: 8,
+                    failure_threshold: 0.5,
+                    min_samples: 2,
+                    open_for_us: 1_000_000,
+                    half_open_probes: 1,
+                }),
+                ..FailureConfig::default()
+            })
+            .build();
+        let failing = || Err::<(SizedPayload, ExecutionCost), _>(FetchError::fatal("down"));
+        engine
+            .try_get_or_execute(&key("neg"), ts(10), failing)
+            .unwrap_err();
+        let memoized = engine
+            .try_get_or_execute(&key("neg"), ts(11), failing)
+            .unwrap_err();
+        assert!(memoized.negative_hit);
+        assert_eq!(engine.negative_hits(), 1);
+        let lookup = engine.get_or_execute(&key("neg"), ts(12), || {
+            (SizedPayload::new(32), ExecutionCost::from_blocks(10))
+        });
+        assert_eq!(lookup.source, LookupSource::Executed);
+        assert_eq!(
+            engine.negative_hits(),
+            1,
+            "the negative cache was not consulted"
+        );
+
+        engine
+            .try_get_or_execute(&key("trip"), ts(20), failing)
+            .unwrap_err();
+        let transitions = engine.stats_snapshot().breaker_transitions;
+        assert_eq!(transitions, 1, "two failures open the breaker");
+        let lookup = engine.get_or_execute(&key("open"), ts(30), || {
+            (SizedPayload::new(32), ExecutionCost::from_blocks(10))
+        });
+        assert_eq!(lookup.source, LookupSource::Executed);
+        assert_eq!(
+            engine.stats_snapshot().breaker_transitions,
+            transitions,
+            "the breaker was neither consulted nor fed"
+        );
+        let refused = engine
+            .try_get_or_execute(&key("other"), ts(40), failing)
+            .unwrap_err();
+        assert!(refused.error.message().contains("circuit breaker open"));
     }
 }

@@ -33,7 +33,8 @@
 //! candidate but to observe the failure: the engine stores the fetch's
 //! panic payload in the cell ([`Flight::set_panic`]) and the leader session
 //! re-raises it ([`Flight::poll_leader`]), preserving the synchronous API's
-//! panic-propagation contract through the async path.
+//! panic-propagation contract whether the leader's fetch ran on its own
+//! thread or on the runtime.
 //!
 //! ## Errors are not panics
 //!
@@ -110,17 +111,17 @@ pub enum FlightOutcome<V> {
     Failed(Arc<FetchError>),
 }
 
-/// What the leader's session observes when its poll completes (async path,
-/// where the fetch itself runs on the runtime).
+/// What the leader's session observes when its poll completes, once its
+/// leader task has resolved the flight (in place or on the runtime).
 #[derive(Debug)]
 pub enum LeaderOutcome<V> {
-    /// The spawned fetch completed the flight with this value and cost.
+    /// The leader's fetch completed the flight with this value and cost.
     Done(Arc<V>, ExecutionCost),
-    /// The spawned fetch panicked; the payload (if any) should be re-raised
-    /// on the session so the async path propagates panics exactly like the
-    /// synchronous one.
+    /// The leader's fetch panicked; the payload (if any) should be re-raised
+    /// on the session, so a spawned fetch propagates panics exactly like one
+    /// run on the session's own thread.
     Failed(Option<Box<dyn Any + Send>>),
-    /// The spawned fetch failed terminally with a fetch error (fallible
+    /// The leader's fetch failed terminally with a fetch error (fallible
     /// pipeline); the session surfaces it as a `LookupError`, not a panic.
     Error(Arc<FetchError>),
 }
@@ -153,7 +154,7 @@ pub struct Flight<V> {
     /// takeover leader has completed the flight.
     next_epoch: std::sync::atomic::AtomicU64,
     /// The admission outcome of the leader's insert, for the leader session
-    /// to take (async path; the sync path returns it directly).
+    /// to take.
     outcome: Mutex<Option<InsertOutcome>>,
     /// The panic payloads of failed fetches, each tagged with the leadership
     /// epoch whose session must re-raise it (successive takeovers can fail
@@ -359,8 +360,8 @@ impl<V> Flight<V> {
     }
 
     /// Polls the flight as the leader *session* of leadership generation
-    /// `epoch`, while its fetch runs elsewhere (the async path spawns the
-    /// fetch on the runtime).
+    /// `epoch`, whose leader task runs the fetch (in place on the session's
+    /// thread, or spawned on the runtime).
     ///
     /// The epoch check matters after a failure: a takeover leader may have
     /// completed (or re-failed) the cell before the original session gets to
@@ -438,7 +439,7 @@ impl<V> Flight<V> {
     }
 
     /// Stores the admission outcome of the leader's insert for the leader
-    /// session to collect (async path).
+    /// session to collect.
     pub fn set_outcome(&self, outcome: InsertOutcome) {
         *self.outcome.lock() = Some(outcome);
     }

@@ -1,6 +1,7 @@
 //! The sharded concurrent cache engine.
 
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
@@ -15,8 +16,8 @@ use crate::clock::Timestamp;
 use crate::coherence::DependencyIndex;
 use crate::engine::events::{CacheEvent, CacheObserver};
 use crate::engine::failure::{
-    BreakerState, CircuitBreaker, FailureConfig, FetchError, LookupError, NegativeCacheConfig,
-    StalenessPolicy,
+    BreakerState, CircuitBreaker, FailureConfig, FetchError, FetchFailure, LookupError,
+    NegativeCacheConfig, StalenessPolicy,
 };
 use crate::engine::policy_kind::PolicyKind;
 use crate::engine::rebalance::{plan_transfer, RebalanceConfig, RebalanceOutcome, ShardSignal};
@@ -356,12 +357,45 @@ impl<V> ShardFailureState<V> {
             self.negative_order.retain(|k| k != key);
         }
     }
+
+    /// The failure domain's answer to a fallible lookup that found neither a
+    /// cached value nor a live flight, as `(error, negative_hit)`: a fresh
+    /// memoized failure, or the breaker's refusal.  `None` admits a fresh
+    /// fetch — the breaker's `admit` is the half-open probe ticket, so a
+    /// refused shard degrades without ever invoking the fetch.
+    fn refusal(&mut self, key: &QueryKey, now: Timestamp) -> Option<(Arc<FetchError>, bool)> {
+        if let Some(error) = self.fresh_negative(key, now) {
+            return Some((error, true));
+        }
+        let admitted = self
+            .breaker
+            .as_mut()
+            .is_none_or(|breaker| breaker.admit(now));
+        (!admitted).then(|| {
+            let refused = FetchError::transient("circuit breaker open: fetch refused");
+            (Arc::new(refused), false)
+        })
+    }
 }
 
 struct ShardState<V> {
     cache: Box<dyn QueryCache<Arc<V>> + Send>,
     inflight: HashMap<QueryKey, Arc<Flight<V>>>,
     failure: ShardFailureState<V>,
+}
+
+impl<V> ShardState<V> {
+    /// Retires `key`'s in-flight entry if it is still `flight`: once a cell
+    /// is retired, a newer flight for the key may already have replaced it.
+    fn retire_flight(&mut self, key: &QueryKey, flight: &Arc<Flight<V>>) {
+        if self
+            .inflight
+            .get(key)
+            .is_some_and(|entry| Arc::ptr_eq(entry, flight))
+        {
+            self.inflight.remove(key);
+        }
+    }
 }
 
 struct Shard<V> {
@@ -748,10 +782,12 @@ impl<V> WatchmanBuilder<V> {
 /// * [`Watchman::get_or_execute`] / [`Watchman::get_or_execute_async`]
 ///   deduplicate concurrent misses on the same query (*single-flight*):
 ///   exactly one session executes the warehouse query, the rest share its
-///   result.  Both entry points drive the **same poll-based implementation**;
-///   the synchronous one is a [`block_on`](crate::runtime::block_on) shim,
-///   the asynchronous one suspends waiting sessions as futures on the
-///   engine's [`Runtime`] instead of parking OS threads;
+///   result.  Every front door — infallible or fallible
+///   ([`Watchman::try_get_or_execute`]), sync or async — drives the **one
+///   lookup machine**, [`LookupFuture`]: the synchronous ones are
+///   [`block_on`](crate::runtime::block_on) shims, the asynchronous ones
+///   suspend waiting sessions as futures on the engine's [`Runtime`]
+///   instead of parking OS threads;
 /// * admissions, rejections, evictions and invalidations are published to
 ///   [`CacheObserver`]s, which the coherence index and the buffer manager's
 ///   p₀-hint machinery subscribe to;
@@ -1099,48 +1135,21 @@ where
     /// and the panic propagates out of the leader's call.
     ///
     /// This is the synchronous front door: a
-    /// [`block_on`](crate::runtime::block_on) shim over the same poll-based
-    /// implementation [`Watchman::get_or_execute_async`] returns, with the
-    /// one difference that the leader's `fetch` runs *inline on the calling
+    /// [`block_on`](crate::runtime::block_on) shim over the one lookup
+    /// machine ([`LookupFuture`]) every front door drives, with the one
+    /// difference that the leader's `fetch` runs *inline on the calling
     /// thread* (so `fetch` needs no `Send + 'static` bounds and a
     /// single-threaded replay is fully deterministic).
+    ///
+    /// The fetch cannot fail, so the lookup stays out of the failure domain:
+    /// it never consults the negative cache or the circuit breaker, never
+    /// feeds them, and when a fallible leader fails a flight it shares, it
+    /// runs its own `fetch` instead of surfacing the error.
     pub fn get_or_execute<F>(&self, key: &QueryKey, now: Timestamp, fetch: F) -> Lookup<V>
     where
         F: FnOnce() -> (V, ExecutionCost) + Unpin,
     {
-        self.observe_now(now);
-        let started = crate::telemetry::now();
-        let key = self.inner.normalizer.apply(key);
-        let shard = self.shard_index(&key);
-        // Hit fast path: the engine's hottest operation needs none of the
-        // future machinery (engine clone, waker, pinning).  This is exactly
-        // the check the future's Start state performs; on a miss the Start
-        // state repeats the `get`, which is stat-neutral (misses are
-        // recorded at insert, and retained-reference records deduplicate on
-        // the timestamp), so both front doors stay byte-identical.
-        {
-            let mut state = self.inner.shards[shard].lock();
-            if let Some(value) = state.cache.get(&key, now) {
-                let lookup = Lookup {
-                    value: Arc::clone(value),
-                    source: LookupSource::Hit,
-                    outcome: None,
-                };
-                drop(state);
-                record_lookup_telemetry(Some(started), LookupSource::Hit);
-                return lookup;
-            }
-        }
-        crate::runtime::block_on(LookupFuture {
-            engine: self.clone(),
-            key,
-            shard: Some(shard),
-            now,
-            driver: FetchDriver::Inline(Some(fetch)),
-            state: LookupState::Start,
-            leader_cancel: None,
-            started: Some(started),
-        })
+        self.lookup_inline(key, now, infallible(fetch))
     }
 
     /// The asynchronous front door: like [`Watchman::get_or_execute`], but
@@ -1168,23 +1177,14 @@ where
         key: &QueryKey,
         now: Timestamp,
         fetch: F,
-    ) -> LookupFuture<V, F>
+    ) -> LookupFuture<
+        V,
+        impl FnMut() -> Result<(V, ExecutionCost), Infallible> + Send + Unpin + 'static,
+    >
     where
-        F: FnOnce() -> (V, ExecutionCost) + Send + 'static,
+        F: FnOnce() -> (V, ExecutionCost) + Send + Unpin + 'static,
     {
-        LookupFuture {
-            engine: self.clone(),
-            key: self.inner.normalizer.apply(key),
-            shard: None,
-            now,
-            driver: FetchDriver::Spawn {
-                fetch: Some(fetch),
-                spawn: spawn_fetch_task::<V, F>,
-            },
-            state: LookupState::Start,
-            leader_cancel: None,
-            started: None,
-        }
+        self.lookup_async(key, now, infallible(fetch))
     }
 
     /// Like [`Watchman::get_or_execute_async`], but the lookup gives up once
@@ -1203,9 +1203,12 @@ where
         now: Timestamp,
         timeout: Duration,
         fetch: F,
-    ) -> DeadlineLookup<V, F>
+    ) -> DeadlineLookup<
+        V,
+        impl FnMut() -> Result<(V, ExecutionCost), Infallible> + Send + Unpin + 'static,
+    >
     where
-        F: FnOnce() -> (V, ExecutionCost) + Send + 'static,
+        F: FnOnce() -> (V, ExecutionCost) + Send + Unpin + 'static,
     {
         DeadlineLookup {
             lookup: Some(self.get_or_execute_async(key, now, fetch)),
@@ -1249,40 +1252,12 @@ where
     where
         F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Unpin,
     {
-        self.observe_now(now);
-        let started = crate::telemetry::now();
-        let key = self.inner.normalizer.apply(key);
-        let shard = self.shard_index(&key);
-        // Hit fast path, identical to the infallible front door.
-        {
-            let mut state = self.inner.shards[shard].lock();
-            if let Some(value) = state.cache.get(&key, now) {
-                let lookup = Lookup {
-                    value: Arc::clone(value),
-                    source: LookupSource::Hit,
-                    outcome: None,
-                };
-                drop(state);
-                record_lookup_telemetry(Some(started), LookupSource::Hit);
-                return Ok(lookup);
-            }
-        }
-        crate::runtime::block_on(TryLookupFuture {
-            engine: self.clone(),
-            key,
-            shard: Some(shard),
-            now,
-            driver: TryFetchDriver::Inline(fetch),
-            state: TryLookupState::Start,
-            attempts: 0,
-            leader_cancel: None,
-            started: Some(started),
-        })
+        self.lookup_inline(key, now, fetch)
     }
 
     /// The asynchronous fallible front door: like
-    /// [`Watchman::try_get_or_execute`], but returns a [`TryLookupFuture`]
-    /// and runs the leader's fetch (and its retry backoffs) on the engine's
+    /// [`Watchman::try_get_or_execute`], but returns a [`LookupFuture`] and
+    /// runs the leader's fetch (and its retry backoffs) on the engine's
     /// [`Runtime`], so waiting sessions suspend instead of blocking OS
     /// threads.  Cancellation behaves exactly like
     /// [`Watchman::get_or_execute_async`]: dropping the future deregisters a
@@ -1293,21 +1268,73 @@ where
         key: &QueryKey,
         now: Timestamp,
         fetch: F,
-    ) -> TryLookupFuture<V, F>
+    ) -> LookupFuture<V, F>
     where
-        F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Send + 'static,
+        F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Send + Unpin + 'static,
     {
-        TryLookupFuture {
+        self.lookup_async(key, now, fetch)
+    }
+
+    /// The synchronous front doors' shared body: the hit fast path, then the
+    /// lookup machine under [`block_on`](crate::runtime::block_on) with the
+    /// leader's fetch inline.
+    fn lookup_inline<F, E>(&self, key: &QueryKey, now: Timestamp, fetch: F) -> E::Output<V>
+    where
+        F: FnMut() -> Result<(V, ExecutionCost), E> + Unpin,
+        E: FetchFailure,
+    {
+        self.observe_now(now);
+        let started = crate::telemetry::now();
+        let key = self.inner.normalizer.apply(key);
+        let shard = self.shard_index(&key);
+        // Hit fast path: the engine's hottest operation needs none of the
+        // future machinery (engine clone, waker, pinning).  This is exactly
+        // the check the future's Start state performs; on a miss the Start
+        // state repeats the `get`, which is stat-neutral (misses are
+        // recorded at insert, and retained-reference records deduplicate on
+        // the timestamp), so the sync and async front doors stay
+        // byte-identical.
+        {
+            let mut state = self.inner.shards[shard].lock();
+            if let Some(value) = state.cache.get(&key, now) {
+                let lookup = Lookup {
+                    value: Arc::clone(value),
+                    source: LookupSource::Hit,
+                    outcome: None,
+                };
+                drop(state);
+                record_lookup_telemetry(Some(started), LookupSource::Hit);
+                return E::resolved(lookup);
+            }
+        }
+        crate::runtime::block_on(LookupFuture {
+            engine: self.clone(),
+            key,
+            shard: Some(shard),
+            now,
+            fetch: Some(fetch),
+            spawn: None,
+            state: LookupState::Start,
+            leader_cancel: None,
+            started: Some(started),
+        })
+    }
+
+    /// The asynchronous front doors' shared body: a lazy [`LookupFuture`]
+    /// whose leader spawns its fetch on the runtime.
+    fn lookup_async<F, E>(&self, key: &QueryKey, now: Timestamp, fetch: F) -> LookupFuture<V, F>
+    where
+        F: FnMut() -> Result<(V, ExecutionCost), E> + Send + Unpin + 'static,
+        E: FetchFailure,
+    {
+        LookupFuture {
             engine: self.clone(),
             key: self.inner.normalizer.apply(key),
             shard: None,
             now,
-            driver: TryFetchDriver::Spawn {
-                fetch: Some(fetch),
-                spawn: spawn_try_fetch_task::<V, F>,
-            },
-            state: TryLookupState::Start,
-            attempts: 0,
+            fetch: Some(fetch),
+            spawn: Some(spawn_leader::<V, F, E>),
+            state: LookupState::Start,
             leader_cancel: None,
             started: None,
         }
@@ -1324,54 +1351,15 @@ where
         self.inner.negative_hits.load(Ordering::Relaxed)
     }
 
-    /// Abandons `flight` after a failed fetch and, when no waiter holds a
-    /// takeover claim on it, retires its entry from the shard's in-flight
-    /// table — without this, a panicking key that is never re-requested
-    /// would leak its cell (and panic payload) forever.
-    ///
-    /// Runs under the shard lock so the zero-waiter check and the removal
-    /// are atomic against new sessions joining the flight; no other path
-    /// acquires these two locks in the reverse order.  A racer that already
-    /// cloned the cell's `Arc` but has not polled yet can still take the
-    /// orphaned cell over and complete it (its `finish_leader_insert` then
-    /// finds no matching entry and removes nothing) — the worst case is one
-    /// duplicate execution, the same window the in-flight table has always
-    /// had around abandonment.
-    fn abandon_flight(&self, key: &QueryKey, shard_index: usize, flight: &Arc<Flight<V>>) {
-        let mut state = self.inner.shards[shard_index].lock();
-        if flight.abandon() == 0
-            && state
-                .inflight
-                .get(key)
-                .is_some_and(|entry| Arc::ptr_eq(entry, flight))
-        {
-            state.inflight.remove(key);
-        }
-    }
-
-    /// Completes a leader's execution: offers the value for admission,
-    /// retires the in-flight entry, and publishes the resulting events.
-    fn finish_leader_insert(
-        &self,
-        key: &QueryKey,
-        shard_index: usize,
-        flight: &Arc<Flight<V>>,
-        value: Arc<V>,
-        cost: ExecutionCost,
-        now: Timestamp,
-    ) -> InsertOutcome {
-        self.finish_leader_insert_with(key, shard_index, flight, value, cost, now, false)
-    }
-
-    /// Like [`Watchman::finish_leader_insert`], but a *fallible* leader also
-    /// updates the failure domain under the same shard lock: the breaker
+    /// Completes a leader's execution under the shard lock: offers the value
+    /// for admission, retires the in-flight entry, and publishes the
+    /// resulting events.  A fallible leader ([`FetchFailure::FAILURE_DOMAIN`])
+    /// also updates the failure domain under the same lock: the breaker
     /// records a success, a fresh last-known-good copy lands in the stale
     /// store (when a [`StalenessPolicy`] is configured), and any memoized
-    /// failure for the key is dropped.  The infallible path passes `false`
-    /// and touches none of it, so its behavior is byte-identical to before
-    /// the failure domain existed.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_leader_insert_with(
+    /// failure for the key is dropped.  An infallible leader touches none of
+    /// it.
+    fn finish_leader_insert<E: FetchFailure>(
         &self,
         key: &QueryKey,
         shard_index: usize,
@@ -1379,11 +1367,10 @@ where
         value: Arc<V>,
         cost: ExecutionCost,
         now: Timestamp,
-        record_fetch_success: bool,
     ) -> InsertOutcome {
         let size_bytes = value.size_bytes();
         let mut state = self.inner.shards[shard_index].lock();
-        if record_fetch_success {
+        if E::FAILURE_DOMAIN {
             if let Some(breaker) = state.failure.breaker.as_mut() {
                 breaker.record_success(now);
             }
@@ -1407,15 +1394,8 @@ where
             shard_index as u64,
             cost.value() as u64,
         );
-        // Retire the in-flight entry only if it is still ours (defensive:
-        // completion is the only remover, so it always is).
-        if state
-            .inflight
-            .get(key)
-            .is_some_and(|entry| Arc::ptr_eq(entry, flight))
-        {
-            state.inflight.remove(key);
-        }
+        // Defensive: completion is the only remover, so the entry is ours.
+        state.retire_flight(key, flight);
         // Emitted under the shard lock: observers see this shard's events in
         // cache order.
         if !self.inner.observers.is_empty() {
@@ -1428,6 +1408,27 @@ where
             ));
         }
         outcome
+    }
+
+    /// The backoff before a leader retries its failed attempt number
+    /// `attempt`, counting the retry; `None` when the error is terminal (not
+    /// retryable, or the [`crate::engine::RetryPolicy`] budget is spent).
+    fn retry_delay(&self, key: &QueryKey, attempt: u32, error: &FetchError) -> Option<Duration> {
+        let retry = &self.inner.failure.retry;
+        if !error.is_retryable() || attempt >= retry.max_attempts {
+            return None;
+        }
+        self.inner.fetch_retries.fetch_add(1, Ordering::Relaxed);
+        let delay = retry.backoff(attempt, key.signature().value());
+        let telemetry = crate::telemetry::global();
+        telemetry.fetch_retries.incr();
+        telemetry.recorder.record(
+            TraceKind::FetchRetry,
+            key.signature().value(),
+            u64::from(attempt),
+            delay.as_micros() as u64,
+        );
+        Some(delay)
     }
 
     /// Resolves a fallible leader's *terminal* fetch failure under the shard
@@ -1446,13 +1447,7 @@ where
         now: Timestamp,
     ) {
         let mut state = self.inner.shards[shard_index].lock();
-        if state
-            .inflight
-            .get(key)
-            .is_some_and(|entry| Arc::ptr_eq(entry, flight))
-        {
-            state.inflight.remove(key);
-        }
+        state.retire_flight(key, flight);
         state
             .failure
             .store_negative(key, Arc::clone(error), now, &self.inner.failure.negative);
@@ -1751,295 +1746,215 @@ where
     }
 }
 
-/// The hook an async lookup uses to launch its fetch on the runtime: a
-/// plain `fn` pointer, monomorphized in [`Watchman::get_or_execute_async`]
-/// (the one place `F`'s `Send + 'static` bounds are in scope) and stored in
-/// [`FetchDriver::Spawn`] next to the still-unboxed fetch closure.  A hit
-/// therefore resolves without ever touching the allocator for its driver —
-/// only an actual miss, when the leader transition calls this hook, pays
-/// for spawning the fetch task.  The future itself stays a single
-/// non-virtual implementation shared with the synchronous path.  The final
-/// `Arc<AtomicBool>` is the leader session's cancellation flag: set when
-/// the session's future is dropped, checked by the spawned task before it
-/// invokes the fetch.
-type SpawnFetch<V, F> =
-    fn(&Watchman<V>, F, QueryKey, usize, Timestamp, Arc<Flight<V>>, u64, Arc<AtomicBool>);
-
-/// The [`SpawnFetch`] implementation: hands the fetch closure to a task on
-/// the engine's runtime.  Generic so the closure rides along unboxed; the
-/// task future it creates is the miss path's one unavoidable allocation.
-#[allow(clippy::too_many_arguments)]
-fn spawn_fetch_task<V, F>(
-    engine: &Watchman<V>,
-    fetch: F,
-    key: QueryKey,
-    shard: usize,
-    now: Timestamp,
-    flight: Arc<Flight<V>>,
-    epoch: u64,
-    cancelled: Arc<AtomicBool>,
-) where
-    V: CachePayload + Send + Sync + 'static,
-    F: FnOnce() -> (V, ExecutionCost) + Send + 'static,
-{
-    let weak = Arc::downgrade(&engine.inner);
-    engine.runtime().spawn(async move {
-        run_spawned_fetch(weak, key, shard, now, flight, epoch, cancelled, fetch);
-    });
+impl<V> Watchman<V> {
+    /// Abandons `flight` after a failed fetch and, when no waiter holds a
+    /// takeover claim on it, retires its entry from the shard's in-flight
+    /// table — without this, a panicking key that is never re-requested
+    /// would leak its cell (and panic payload) forever.
+    ///
+    /// Runs under the shard lock so the zero-waiter check and the removal
+    /// are atomic against new sessions joining the flight; no other path
+    /// acquires these two locks in the reverse order.  A racer that already
+    /// cloned the cell's `Arc` but has not polled yet can still take the
+    /// orphaned cell over and complete it (its `finish_leader_insert` then
+    /// finds no matching entry and removes nothing) — the worst case is one
+    /// duplicate execution, the same window the in-flight table has always
+    /// had around abandonment.
+    fn abandon_flight(&self, key: &QueryKey, shard_index: usize, flight: &Arc<Flight<V>>) {
+        let mut state = self.inner.shards[shard_index].lock();
+        if flight.abandon() == 0 {
+            state.retire_flight(key, flight);
+        }
+    }
 }
 
-/// Runs a spawned leader fetch to completion on a runtime worker: executes
-/// the closure, admits the result, and completes (or, on panic, abandons)
-/// the flight.  Holds only a weak engine reference so a task queued behind a
-/// long fetch never keeps a dropped engine alive.
-#[allow(clippy::too_many_arguments)]
-fn run_spawned_fetch<V, F>(
-    engine: Weak<Inner<V>>,
-    key: QueryKey,
-    shard: usize,
-    now: Timestamp,
-    flight: Arc<Flight<V>>,
-    epoch: u64,
-    cancelled: Arc<AtomicBool>,
-    fetch: F,
-) where
-    V: CachePayload + Send + Sync + 'static,
+/// Adapts an infallible `FnOnce` fetch to the lookup machine's fetch shape.
+/// The machine re-invokes a fetch only after it returned an error, and this
+/// one never does, so the closure runs at most once.
+fn infallible<V, F>(fetch: F) -> impl FnMut() -> Result<(V, ExecutionCost), Infallible>
+where
     F: FnOnce() -> (V, ExecutionCost),
 {
-    // Cooperative cancellation point: the leader session dropped its future
-    // (deadline elapsed, connection torn down) before this task got a
-    // worker.  The fetch closure is never invoked; abandoning the flight
-    // wakes one still-interested waiter to take leadership over with its
-    // own fetch — and with no waiters, retires the cell so the next arrival
-    // starts fresh.  No panic payload is stored: the only session that
-    // would re-raise it is the one that was dropped.
-    if cancelled.load(Ordering::Acquire) {
-        match engine.upgrade() {
-            Some(inner) => Watchman { inner }.abandon_flight(&key, shard, &flight),
-            None => {
-                flight.abandon();
-            }
-        }
-        return;
-    }
-    // The completion stage (insert + observer emit) runs under its own
-    // catch_unwind for the same reason the inline path keeps its guard armed
-    // through it: a panic in user observer code must abandon the flight, not
-    // strand the waiters on a cell that never resolves.
-    let fetch_start = crate::telemetry::now();
-    let fetched = catch_unwind(AssertUnwindSafe(fetch));
-    crate::telemetry::global()
-        .fetch_attempt_us
-        .record(crate::telemetry::elapsed_us(fetch_start));
-    let result = fetched.and_then(|(value, cost)| {
-        let value = Arc::new(value);
-        catch_unwind(AssertUnwindSafe(|| {
-            if let Some(inner) = engine.upgrade() {
-                let engine = Watchman { inner };
-                let outcome = engine.finish_leader_insert(
-                    &key,
-                    shard,
-                    &flight,
-                    Arc::clone(&value),
-                    cost,
-                    now,
-                );
-                flight.set_outcome(outcome);
-            }
-            (value, cost)
-        }))
-    });
-    match result {
-        Ok((value, cost)) => flight.complete(value, cost),
-        Err(payload) => {
-            // Payload first, then abandon: the leader session must observe
-            // the payload when its abandonment wake arrives.
-            flight.set_panic(epoch, payload);
-            match engine.upgrade() {
-                Some(inner) => Watchman { inner }.abandon_flight(&key, shard, &flight),
-                // Engine gone: there is no table left to retire from.
-                None => {
-                    flight.abandon();
-                }
-            }
-        }
-    }
+    let mut fetch = Some(fetch);
+    move || Ok(fetch.take().expect("an infallible fetch runs at most once")())
 }
 
-/// The [`SpawnFetch`] analogue for the fallible pipeline.
-type SpawnTryFetch<V, F> =
-    fn(&Watchman<V>, F, QueryKey, usize, Timestamp, Arc<Flight<V>>, u64, Arc<AtomicBool>);
-
-/// Hands a fallible fetch closure to a task on the engine's runtime.  The
-/// task owns the whole retry loop: backoffs are real `Sleep`s awaited on the
-/// runtime timer, so a retrying leader occupies no worker while it waits.
-#[allow(clippy::too_many_arguments)]
-fn spawn_try_fetch_task<V, F>(
-    engine: &Watchman<V>,
+/// One leadership of a flight: runs the leader's fetch — retrying transient
+/// errors under the engine's [`crate::engine::RetryPolicy`], each backoff
+/// slept on the runtime timer so a retrying leader occupies no thread — and
+/// resolves the flight.  Success admits the value and completes it; a
+/// terminal error fails it for every waiter; a panic (in the fetch or in the
+/// completion's observer emit) stores the payload for the leader session and
+/// abandons the flight so one waiter takes over.
+///
+/// Every leader fetch runs here.  The synchronous front doors poll the task
+/// in place, so the fetch runs on the calling thread; the asynchronous ones
+/// spawn it on the runtime.  Either way the leader session then reads the
+/// outcome from the flight.  Holds only a weak engine reference so a spawned
+/// task queued behind a long fetch never keeps a dropped engine alive.
+struct LeaderTask<V, F> {
+    engine: Weak<Inner<V>>,
     fetch: F,
     key: QueryKey,
     shard: usize,
     now: Timestamp,
     flight: Arc<Flight<V>>,
+    /// The leadership generation a panic payload is tagged with.
     epoch: u64,
-    cancelled: Arc<AtomicBool>,
-) where
-    V: CachePayload + Send + Sync + 'static,
-    F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Send + 'static,
-{
-    let weak = Arc::downgrade(&engine.inner);
-    let runtime = engine.runtime();
-    let timer = runtime.inner_handle();
-    runtime.spawn(run_spawned_try_fetch(
-        weak, timer, key, shard, now, flight, epoch, cancelled, fetch,
-    ));
+    /// A spawned leader session's cancellation flag: set when the session's
+    /// future is dropped, checked before every attempt.
+    cancelled: Option<Arc<AtomicBool>>,
+    /// Fetch attempts made so far.
+    attempt: u32,
+    /// The retry backoff being slept out before the next attempt.
+    backoff: Option<Sleep>,
 }
 
-/// Runs a spawned fallible leader fetch to completion: invokes the closure,
-/// retrying transient errors under the engine's [`RetryPolicy`] (sleeping
-/// the deterministic backoff on the runtime timer), then either admits the
-/// result or resolves the flight with the terminal error for every waiter.
-/// Holds only weak references so a task queued behind a long fetch never
-/// keeps a dropped engine (or runtime) alive.
-#[allow(clippy::too_many_arguments)]
-async fn run_spawned_try_fetch<V, F>(
-    engine: Weak<Inner<V>>,
-    timer: Weak<crate::runtime::RuntimeInner>,
-    key: QueryKey,
-    shard: usize,
-    now: Timestamp,
-    flight: Arc<Flight<V>>,
-    epoch: u64,
-    cancelled: Arc<AtomicBool>,
-    mut fetch: F,
-) where
-    V: CachePayload + Send + Sync + 'static,
-    F: FnMut() -> Result<(V, ExecutionCost), FetchError>,
-{
-    let mut attempt: u32 = 0;
-    loop {
-        // Cooperative cancellation point, re-checked before *every* attempt:
-        // a leader session dropped mid-backoff must not burn further
-        // attempts on a result nobody claims (waiters take the flight over).
-        if cancelled.load(Ordering::Acquire) {
-            match engine.upgrade() {
-                Some(inner) => Watchman { inner }.abandon_flight(&key, shard, &flight),
-                None => {
-                    flight.abandon();
-                }
-            }
-            return;
-        }
-        attempt += 1;
-        let fetch_start = crate::telemetry::now();
-        let result = catch_unwind(AssertUnwindSafe(&mut fetch));
-        crate::telemetry::global()
-            .fetch_attempt_us
-            .record(crate::telemetry::elapsed_us(fetch_start));
-        match result {
-            // A panic keeps the infallible contract: payload to the leader
-            // session, flight abandoned so one waiter takes over.
-            Err(payload) => {
-                flight.set_panic(epoch, payload);
-                match engine.upgrade() {
-                    Some(inner) => Watchman { inner }.abandon_flight(&key, shard, &flight),
-                    None => {
-                        flight.abandon();
-                    }
-                }
-                return;
-            }
-            Ok(Ok((value, cost))) => {
-                let value = Arc::new(value);
-                // The completion stage (insert + observer emit) runs under
-                // its own catch_unwind, mirroring `run_spawned_fetch`.
-                let completed = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(inner) = engine.upgrade() {
-                        let engine = Watchman { inner };
-                        let outcome = engine.finish_leader_insert_with(
-                            &key,
-                            shard,
-                            &flight,
-                            Arc::clone(&value),
-                            cost,
-                            now,
-                            true,
-                        );
-                        flight.set_outcome(outcome);
-                    }
-                }));
-                match completed {
-                    Ok(()) => flight.complete(value, cost),
-                    Err(payload) => {
-                        flight.set_panic(epoch, payload);
-                        match engine.upgrade() {
-                            Some(inner) => Watchman { inner }.abandon_flight(&key, shard, &flight),
-                            None => {
-                                flight.abandon();
-                            }
-                        }
-                    }
-                }
-                return;
-            }
-            Ok(Err(error)) => {
-                let Some(inner) = engine.upgrade() else {
-                    flight.fail(Arc::new(error));
-                    return;
-                };
-                let handle = Watchman { inner };
-                let retry = handle.inner.failure.retry.clone();
-                if error.is_retryable() && attempt < retry.max_attempts {
-                    handle.inner.fetch_retries.fetch_add(1, Ordering::Relaxed);
-                    let delay = retry.backoff(attempt, key.signature().value());
-                    let telemetry = crate::telemetry::global();
-                    telemetry.fetch_retries.incr();
-                    telemetry.recorder.record(
-                        TraceKind::FetchRetry,
-                        key.signature().value(),
-                        u64::from(attempt),
-                        delay.as_micros() as u64,
-                    );
-                    drop(handle);
-                    if !delay.is_zero() {
-                        Sleep::until(timer.clone(), crate::telemetry::now() + delay).await;
-                    }
-                    continue;
-                }
-                // Terminal: memoize, feed the breaker, retire the cell —
-                // then fail the flight so every waiter observes the same
-                // shared error.
-                let error = Arc::new(error);
-                handle.fail_leader(&key, shard, &flight, &error, now);
-                drop(handle);
-                flight.fail(error);
-                return;
+impl<V, F> LeaderTask<V, F> {
+    /// Abandons the flight (see [`Watchman::abandon_flight`]); with the
+    /// engine gone there is no table left to retire the cell from.
+    fn abandon(&self) {
+        match self.engine.upgrade() {
+            Some(inner) => Watchman { inner }.abandon_flight(&self.key, self.shard, &self.flight),
+            None => {
+                self.flight.abandon();
             }
         }
     }
 }
 
-/// How a [`LookupFuture`]'s leader runs its fetch: inline on the polling
-/// thread (synchronous front door) or spawned onto the runtime (async front
-/// door).  Everything else — hit, coalesce, abandonment, takeover — is the
-/// same code.
-enum FetchDriver<V, F> {
-    Inline(Option<F>),
-    Spawn {
-        fetch: Option<F>,
-        spawn: SpawnFetch<V, F>,
-    },
+impl<V, F, E> Future for LeaderTask<V, F>
+where
+    V: CachePayload + Send + Sync + 'static,
+    F: FnMut() -> Result<(V, ExecutionCost), E> + Unpin,
+    E: FetchFailure,
+{
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        loop {
+            if let Some(backoff) = this.backoff.as_mut() {
+                std::task::ready!(Pin::new(backoff).poll(cx));
+                this.backoff = None;
+            }
+            // Cooperative cancellation point, checked before *every*
+            // attempt: the leader session dropped its future (deadline
+            // elapsed, connection torn down) before this attempt got a
+            // worker.  The fetch is not invoked; abandoning the flight wakes
+            // one still-interested waiter to take leadership over with its
+            // own fetch — and with no waiters, retires the cell so the next
+            // arrival starts fresh.  No panic payload is stored: the only
+            // session that would re-raise it is the one that was dropped.
+            if this
+                .cancelled
+                .as_ref()
+                .is_some_and(|cancelled| cancelled.load(Ordering::Acquire))
+            {
+                this.abandon();
+                return Poll::Ready(());
+            }
+            this.attempt += 1;
+            let fetch_start = crate::telemetry::now();
+            let fetched = catch_unwind(AssertUnwindSafe(&mut this.fetch));
+            crate::telemetry::global()
+                .fetch_attempt_us
+                .record(crate::telemetry::elapsed_us(fetch_start));
+            let error = match fetched {
+                Ok(Ok((value, cost))) => {
+                    let value = Arc::new(value);
+                    // The completion stage (insert + observer emit) runs
+                    // under its own catch_unwind: a panic in user observer
+                    // code must abandon the flight, not strand the waiters
+                    // on a cell that never resolves.
+                    let completed = catch_unwind(AssertUnwindSafe(|| {
+                        if let Some(inner) = this.engine.upgrade() {
+                            let outcome = Watchman { inner }.finish_leader_insert::<E>(
+                                &this.key,
+                                this.shard,
+                                &this.flight,
+                                Arc::clone(&value),
+                                cost,
+                                this.now,
+                            );
+                            this.flight.set_outcome(outcome);
+                        }
+                    }));
+                    match completed {
+                        Ok(()) => this.flight.complete(value, cost),
+                        Err(payload) => {
+                            this.flight.set_panic(this.epoch, payload);
+                            this.abandon();
+                        }
+                    }
+                    return Poll::Ready(());
+                }
+                Ok(Err(error)) => error.into_fetch_error(),
+                // Payload first, then abandon: the leader session must
+                // observe the payload when its abandonment wake arrives.
+                Err(payload) => {
+                    this.flight.set_panic(this.epoch, payload);
+                    this.abandon();
+                    return Poll::Ready(());
+                }
+            };
+            let Some(inner) = this.engine.upgrade() else {
+                this.flight.fail(Arc::new(error));
+                return Poll::Ready(());
+            };
+            let engine = Watchman { inner };
+            match engine.retry_delay(&this.key, this.attempt, &error) {
+                Some(delay) if delay.is_zero() => {}
+                Some(delay) => this.backoff = Some(engine.runtime().sleep(delay)),
+                // Terminal: memoize, feed the breaker, retire the cell — then
+                // fail the flight so every waiter observes the same shared
+                // error.
+                None => {
+                    let error = Arc::new(error);
+                    engine.fail_leader(&this.key, this.shard, &this.flight, &error, this.now);
+                    this.flight.fail(error);
+                    return Poll::Ready(());
+                }
+            }
+        }
+    }
 }
 
-enum LookupState<V> {
+/// The hook an async lookup uses to launch its leader task on the runtime:
+/// a plain `fn` pointer, monomorphized in [`Watchman::lookup_async`] (the
+/// one place the fetch's `Send + 'static` bounds are in scope) and stored
+/// in the [`LookupFuture`] next to the still-unboxed fetch closure.  A hit
+/// therefore resolves without ever touching the allocator — only an actual
+/// miss, when the leader transition calls this hook, pays for spawning the
+/// task.
+type SpawnLeader<V, F> = fn(&Watchman<V>, LeaderTask<V, F>);
+
+/// The [`SpawnLeader`] implementation.  Generic so the closure rides along
+/// unboxed; the spawned task is the miss path's one unavoidable allocation.
+fn spawn_leader<V, F, E>(engine: &Watchman<V>, task: LeaderTask<V, F>)
+where
+    V: CachePayload + Send + Sync + 'static,
+    F: FnMut() -> Result<(V, ExecutionCost), E> + Send + Unpin + 'static,
+    E: FetchFailure,
+{
+    engine.runtime().spawn(task);
+}
+
+enum LookupState<V, F> {
     Start,
+    /// Coalesced onto another session's flight.
     Waiting {
         flight: Arc<Flight<V>>,
         slot: WaiterSlot,
-        /// `Some(epoch)` when this session is the leader of that leadership
-        /// generation, awaiting its own spawned fetch; `None` for a
-        /// coalescing waiter.
-        leading: Option<u64>,
+    },
+    /// Leading `flight` as leadership generation `epoch`.  A synchronous
+    /// session runs its leader task in place (`task` is `Some` until the
+    /// task resolves the flight); an asynchronous one spawned it and only
+    /// awaits the flight.
+    Leading {
+        flight: Arc<Flight<V>>,
+        epoch: u64,
+        task: Option<LeaderTask<V, F>>,
     },
     Finished,
 }
@@ -2048,23 +1963,26 @@ enum LookupState<V> {
 /// machine can transition freely.
 enum Step<V> {
     Return(Lookup<V>),
+    /// The lookup's flight failed (or the failure domain refused it):
+    /// resolve this session's share through [`FetchFailure::failed`].
+    Resolve {
+        error: Arc<FetchError>,
+        negative_hit: bool,
+    },
     BecomeWaiter(Arc<Flight<V>>),
     Lead(Arc<Flight<V>>),
-    /// Won the takeover race on an abandoned flight: re-check the cache
-    /// before re-executing (the failed leader may have panicked *after* its
-    /// insert succeeded — e.g. in a user observer — leaving the value
-    /// cached), then lead.
-    TakeOver(Arc<Flight<V>>),
     Suspend,
     LeaderFailed(Option<Box<dyn std::any::Any + Send>>),
-    /// The awaited flight resolved in a way this session cannot consume
-    /// (a fallible leader failed it); go back to `Start` and look again.
-    Restart,
 }
 
-/// The future returned by [`Watchman::get_or_execute_async`] (and driven by
-/// [`block_on`](crate::runtime::block_on) inside the synchronous
-/// [`Watchman::get_or_execute`]).
+/// The engine's one lookup state machine: returned by the asynchronous
+/// front doors and driven by [`block_on`](crate::runtime::block_on) inside
+/// the synchronous ones.
+///
+/// It resolves to [`FetchFailure::Output`]: a plain [`Lookup`] for the
+/// infallible `get_or_execute*` front doors, `Ok(`[`Lookup`]`)` — including
+/// [`LookupSource::Stale`] serves — or `Err(`[`LookupError`]`)` carrying the
+/// shared `Arc<FetchError>` for the fallible `try_get_or_execute*` ones.
 ///
 /// Lazy: nothing happens until first poll.  Cancellation-safe: dropping it
 /// deregisters this session's waker from the flight it waits on; a dropped
@@ -2076,14 +1994,18 @@ pub struct LookupFuture<V, F> {
     /// Shard index, resolved on first poll.
     shard: Option<usize>,
     now: Timestamp,
-    driver: FetchDriver<V, F>,
-    state: LookupState<V>,
-    /// Set once this session spawns a leader fetch; flipped by `Drop` so a
-    /// fetch task that has not started yet observes the cancellation and
-    /// never invokes the closure.
+    /// This session's fetch, until it leads (a session leads at most once).
+    fetch: Option<F>,
+    /// `Some` for the asynchronous front doors: how the leader spawns its
+    /// task.  `None` runs the task in place on the polling thread.
+    spawn: Option<SpawnLeader<V, F>>,
+    state: LookupState<V, F>,
+    /// Set once this session spawns a leader task; flipped by `Drop` so a
+    /// task that has not started its next attempt observes the cancellation
+    /// and never invokes the closure again.
     leader_cancel: Option<Arc<AtomicBool>>,
     /// When this session first touched the engine (the synchronous front
-    /// door presets it; the async one stamps it on first poll), feeding the
+    /// doors preset it; the async ones stamp it on first poll), feeding the
     /// outcome-keyed lookup-latency telemetry.
     started: Option<Instant>,
 }
@@ -2097,14 +2019,198 @@ impl<V, F> std::fmt::Debug for LookupFuture<V, F> {
     }
 }
 
-impl<V, F> Future for LookupFuture<V, F>
+impl<V, F, E> LookupFuture<V, F>
 where
     V: CachePayload + Send + Sync + 'static,
-    F: FnOnce() -> (V, ExecutionCost) + Unpin,
+    F: FnMut() -> Result<(V, ExecutionCost), E> + Unpin,
+    E: FetchFailure,
 {
-    type Output = Lookup<V>;
+    /// The step the current state decides: look the key up (`Start`), await
+    /// the coalesced flight (`Waiting`), or run and await this session's
+    /// own leadership (`Leading`).
+    fn poll_state(&mut self, cx: &mut Context<'_>) -> Step<V> {
+        match &mut self.state {
+            LookupState::Finished => panic!("LookupFuture polled after completion"),
+            LookupState::Start => {
+                self.engine.observe_now(self.now);
+                let shard_index = *self
+                    .shard
+                    .get_or_insert_with(|| self.engine.shard_index(&self.key));
+                let mut state = self.engine.inner.shards[shard_index].lock();
+                if let Some(value) = state.cache.get(&self.key, self.now) {
+                    return Step::Return(Lookup {
+                        value: Arc::clone(value),
+                        source: LookupSource::Hit,
+                        outcome: None,
+                    });
+                }
+                // A live flight wins over a memoized failure: the in-flight
+                // leader may be retrying its way to a success this session
+                // can share.
+                if let Some(flight) = state.inflight.get(&self.key) {
+                    return Step::BecomeWaiter(Arc::clone(flight));
+                }
+                let refusal = if E::FAILURE_DOMAIN {
+                    state.failure.refusal(&self.key, self.now)
+                } else {
+                    None
+                };
+                match refusal {
+                    Some((error, negative_hit)) => {
+                        if negative_hit {
+                            self.engine
+                                .inner
+                                .negative_hits
+                                .fetch_add(1, Ordering::Relaxed);
+                            crate::telemetry::global().negative_hits.incr();
+                        }
+                        Step::Resolve {
+                            error,
+                            negative_hit,
+                        }
+                    }
+                    None => {
+                        let flight = Arc::new(Flight::new());
+                        state.inflight.insert(self.key.clone(), Arc::clone(&flight));
+                        Step::Lead(flight)
+                    }
+                }
+            }
+            LookupState::Leading {
+                flight,
+                epoch,
+                task,
+            } => {
+                if let Some(running) = task {
+                    if Pin::new(running).poll(cx).is_pending() {
+                        return Step::Suspend;
+                    }
+                    *task = None;
+                }
+                match flight.poll_leader(*epoch, cx) {
+                    Poll::Pending => Step::Suspend,
+                    Poll::Ready(LeaderOutcome::Done(value, _cost)) => Step::Return(Lookup {
+                        value,
+                        source: LookupSource::Executed,
+                        outcome: flight.take_outcome(),
+                    }),
+                    Poll::Ready(LeaderOutcome::Failed(payload)) => Step::LeaderFailed(payload),
+                    Poll::Ready(LeaderOutcome::Error(error)) => Step::Resolve {
+                        error,
+                        negative_hit: false,
+                    },
+                }
+            }
+            LookupState::Waiting { flight, slot } => match flight.poll_wait(slot, cx) {
+                Poll::Pending => Step::Suspend,
+                Poll::Ready(FlightOutcome::Done(value, cost)) => {
+                    // A coalesced wait is still one logical reference
+                    // (one-call-per-reference protocol): account it as
+                    // hit-equivalent at the leader's observed cost so
+                    // CSR/HR denominators cover every reference.
+                    let shard_index = self.shard.expect("set before waiting");
+                    {
+                        let mut state = self.engine.inner.shards[shard_index].lock();
+                        state.cache.record_coalesced_reference(cost);
+                    }
+                    self.engine
+                        .inner
+                        .coalesced_misses
+                        .fetch_add(1, Ordering::Relaxed);
+                    Step::Return(Lookup {
+                        value,
+                        source: LookupSource::Coalesced,
+                        outcome: None,
+                    })
+                }
+                // The previous leader failed and this session won the
+                // takeover race: it is the leader now, on the same flight
+                // cell, with its own (still unconsumed) fetch.
+                Poll::Ready(FlightOutcome::TakeOver) => {
+                    let flight = Arc::clone(flight);
+                    self.take_over(flight)
+                }
+                // The leader's terminal error resolved the flight for every
+                // coalesced waiter at once; all of them share one
+                // `Arc<FetchError>`.
+                Poll::Ready(FlightOutcome::Failed(error)) => Step::Resolve {
+                    error,
+                    negative_hit: false,
+                },
+            },
+        }
+    }
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Lookup<V>> {
+    /// Resolves a won takeover into a hit or real leadership: the cache is
+    /// re-checked before re-executing, because the failed leader may have
+    /// panicked *after* its insert succeeded (e.g. in a user observer),
+    /// leaving the value cached.
+    fn take_over(&mut self, flight: Arc<Flight<V>>) -> Step<V> {
+        let shard_index = self.shard.expect("set before waiting");
+        let cached = {
+            let mut state = self.engine.inner.shards[shard_index].lock();
+            state.cache.get(&self.key, self.now).map(Arc::clone)
+        };
+        match cached {
+            // The value landed before the old leader failed (a panic in its
+            // post-insert observer emit): serve the hit instead of re-running
+            // a multi-second fetch, and pass leadership along — the next
+            // candidate repeats this check, and the last abandonment retires
+            // the cell.
+            Some(value) => {
+                self.engine.abandon_flight(&self.key, shard_index, &flight);
+                Step::Return(Lookup {
+                    value,
+                    source: LookupSource::Hit,
+                    outcome: None,
+                })
+            }
+            None => Step::Lead(flight),
+        }
+    }
+
+    /// Leads `flight` with this session's fetch: spawns the leader task
+    /// (asynchronous front doors) or keeps it to run in place.
+    fn lead(&mut self, flight: Arc<Flight<V>>) {
+        let epoch = flight.new_leader_epoch();
+        let cancelled = self.spawn.map(|_| Arc::new(AtomicBool::new(false)));
+        self.leader_cancel.clone_from(&cancelled);
+        let task = LeaderTask {
+            engine: Arc::downgrade(&self.engine.inner),
+            fetch: self.fetch.take().expect("a session leads at most once"),
+            key: self.key.clone(),
+            shard: self.shard.expect("set before leading"),
+            now: self.now,
+            flight: Arc::clone(&flight),
+            epoch,
+            cancelled,
+            attempt: 0,
+            backoff: None,
+        };
+        let task = match self.spawn {
+            Some(spawn) => {
+                spawn(&self.engine, task);
+                None
+            }
+            None => Some(task),
+        };
+        self.state = LookupState::Leading {
+            flight,
+            epoch,
+            task,
+        };
+    }
+}
+
+impl<V, F, E> Future for LookupFuture<V, F>
+where
+    V: CachePayload + Send + Sync + 'static,
+    F: FnMut() -> Result<(V, ExecutionCost), E> + Unpin,
+    E: FetchFailure,
+{
+    type Output = E::Output<V>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<E::Output<V>> {
         // All fields are Unpin (`F` by bound — every ordinary closure is),
         // so plain projection is safe without unsafe code.
         let this = self.get_mut();
@@ -2112,142 +2218,52 @@ where
             this.started = Some(crate::telemetry::now());
         }
         loop {
-            let step = match &mut this.state {
-                LookupState::Finished => panic!("LookupFuture polled after completion"),
-                LookupState::Start => {
-                    this.engine.observe_now(this.now);
-                    let shard_index = *this
-                        .shard
-                        .get_or_insert_with(|| this.engine.shard_index(&this.key));
-                    let mut state = this.engine.inner.shards[shard_index].lock();
-                    if let Some(value) = state.cache.get(&this.key, this.now) {
-                        Step::Return(Lookup {
-                            value: Arc::clone(value),
-                            source: LookupSource::Hit,
-                            outcome: None,
-                        })
-                    } else {
-                        match state.inflight.get(&this.key) {
-                            Some(flight) => Step::BecomeWaiter(Arc::clone(flight)),
-                            None => {
-                                let flight = Arc::new(Flight::new());
-                                state.inflight.insert(this.key.clone(), Arc::clone(&flight));
-                                Step::Lead(flight)
-                            }
-                        }
-                    }
-                }
-                LookupState::Waiting {
-                    flight,
-                    slot: _,
-                    leading: Some(epoch),
-                } => match flight.poll_leader(*epoch, cx) {
-                    Poll::Pending => Step::Suspend,
-                    Poll::Ready(LeaderOutcome::Done(value, _cost)) => {
-                        let outcome = flight.take_outcome();
-                        Step::Return(Lookup {
-                            value,
-                            source: LookupSource::Executed,
-                            outcome,
-                        })
-                    }
-                    Poll::Ready(LeaderOutcome::Failed(payload)) => Step::LeaderFailed(payload),
-                    // An infallible leader's fetch returns `(V, Cost)` — it
-                    // can panic but never produce a `FetchError`, so its own
-                    // flight is never `fail()`ed under it.
-                    Poll::Ready(LeaderOutcome::Error(error)) => {
-                        unreachable!("infallible leader observed a fetch error: {error}")
-                    }
-                },
-                LookupState::Waiting {
-                    flight,
-                    slot,
-                    leading: None,
-                } => match flight.poll_wait(slot, cx) {
-                    Poll::Pending => Step::Suspend,
-                    Poll::Ready(FlightOutcome::Done(value, cost)) => {
-                        // A coalesced wait is still one logical reference
-                        // (one-call-per-reference protocol): account it as
-                        // hit-equivalent at the leader's observed cost so
-                        // CSR/HR denominators cover every reference.
-                        let shard_index = this.shard.expect("set before waiting");
-                        {
-                            let mut state = this.engine.inner.shards[shard_index].lock();
-                            state.cache.record_coalesced_reference(cost);
-                        }
-                        this.engine
-                            .inner
-                            .coalesced_misses
-                            .fetch_add(1, Ordering::Relaxed);
-                        Step::Return(Lookup {
-                            value,
-                            source: LookupSource::Coalesced,
-                            outcome: None,
-                        })
-                    }
-                    // The previous leader failed and this session won the
-                    // takeover race: it is the leader now, on the same
-                    // flight cell, with its own (still unconsumed) fetch.
-                    Poll::Ready(FlightOutcome::TakeOver) => Step::TakeOver(Arc::clone(flight)),
-                    // A *fallible* leader (the try_* front doors) resolved
-                    // the shared flight with a fetch error and retired the
-                    // cell.  This infallible session cannot surface an error,
-                    // but it still holds its own unconsumed fetch: start
-                    // over — the retired cell means it will lead a fresh
-                    // flight (or hit the negative-cache-free cache).
-                    Poll::Ready(FlightOutcome::Failed(_)) => Step::Restart,
-                },
-            };
-
-            // Resolve a takeover into a hit or real leadership before the
-            // state transition below.
-            let step = match step {
-                Step::TakeOver(flight) => {
-                    let shard_index = this.shard.expect("set before waiting");
-                    let cached = {
-                        let mut state = this.engine.inner.shards[shard_index].lock();
-                        state.cache.get(&this.key, this.now).map(Arc::clone)
-                    };
-                    match cached {
-                        // The value landed before the old leader failed (a
-                        // panic in its post-insert observer emit): serve the
-                        // hit instead of re-running a multi-second fetch,
-                        // and pass leadership along — the next candidate
-                        // repeats this check, and the last abandonment
-                        // retires the cell.
-                        Some(value) => {
-                            this.engine.abandon_flight(&this.key, shard_index, &flight);
-                            Step::Return(Lookup {
-                                value,
-                                source: LookupSource::Hit,
-                                outcome: None,
-                            })
-                        }
-                        None => Step::Lead(flight),
-                    }
-                }
-                other => other,
-            };
-
-            match step {
-                Step::TakeOver(_) => unreachable!("resolved into Return or Lead above"),
+            match this.poll_state(cx) {
                 Step::Suspend => return Poll::Pending,
-                Step::Restart => {
-                    this.state = LookupState::Start;
-                    // Loop: look the key up afresh.
-                }
                 Step::Return(lookup) => {
                     this.state = LookupState::Finished;
                     record_lookup_telemetry(this.started, lookup.source);
-                    return Poll::Ready(lookup);
+                    return Poll::Ready(E::resolved(lookup));
+                }
+                Step::Resolve {
+                    error,
+                    negative_hit,
+                } => {
+                    let shard_index = this.shard.expect("set before resolving");
+                    let (engine, key, now, started) =
+                        (&this.engine, &this.key, this.now, this.started);
+                    let resolved = E::failed(|| {
+                        let result = engine.resolve_failed_lookup(
+                            key,
+                            shard_index,
+                            now,
+                            error,
+                            negative_hit,
+                        );
+                        match &result {
+                            Ok(lookup) => record_lookup_telemetry(started, lookup.source),
+                            Err(_) => record_lookup_error_telemetry(started),
+                        }
+                        result
+                    });
+                    match resolved {
+                        Some(output) => {
+                            this.state = LookupState::Finished;
+                            return Poll::Ready(output);
+                        }
+                        // An infallible lookup cannot surface the failure of
+                        // a flight it shared, but it still holds its own
+                        // unconsumed fetch: look the key up afresh.  The
+                        // failed cell is retired, so it leads a fresh flight
+                        // or joins a newer one.
+                        None => this.state = LookupState::Start,
+                    }
                 }
                 Step::BecomeWaiter(flight) => {
                     this.state = LookupState::Waiting {
                         flight,
                         slot: WaiterSlot::new(),
-                        leading: None,
                     };
-                    // Loop: poll the flight, registering our waker.
                 }
                 Step::LeaderFailed(payload) => {
                     this.state = LookupState::Finished;
@@ -2258,588 +2274,50 @@ where
                         None => panic!("single-flight leader fetch failed"),
                     }
                 }
-                Step::Lead(flight) => {
-                    let shard_index = this.shard.expect("set before leading");
-                    match &mut this.driver {
-                        FetchDriver::Inline(fetch) => {
-                            let fetch = fetch.take().expect("leader consumes its fetch once");
-                            // The guard stays armed through the fetch AND the
-                            // completion (insert + observer emit): a panic
-                            // anywhere before `complete` — including user
-                            // observer code — must wake exactly one waiter to
-                            // take over this same flight cell (retiring the
-                            // cell when nobody waits) instead of stranding
-                            // the waiters on a flight that never resolves.
-                            // The panic itself propagates to the caller.
-                            let guard = AbandonGuard {
-                                engine: &this.engine,
-                                key: &this.key,
-                                shard_index,
-                                flight: &flight,
-                            };
-                            let fetch_start = crate::telemetry::now();
-                            let (value, cost) = fetch();
-                            crate::telemetry::global()
-                                .fetch_attempt_us
-                                .record(crate::telemetry::elapsed_us(fetch_start));
-                            let value = Arc::new(value);
-                            let outcome = this.engine.finish_leader_insert(
-                                &this.key,
-                                shard_index,
-                                &flight,
-                                Arc::clone(&value),
-                                cost,
-                                this.now,
-                            );
-                            flight.complete(Arc::clone(&value), cost);
-                            std::mem::forget(guard);
-                            this.state = LookupState::Finished;
-                            record_lookup_telemetry(this.started, LookupSource::Executed);
-                            return Poll::Ready(Lookup {
-                                value,
-                                source: LookupSource::Executed,
-                                outcome: Some(outcome),
-                            });
-                        }
-                        FetchDriver::Spawn { fetch, spawn } => {
-                            let fetch = fetch.take().expect("leader consumes its fetch once");
-                            let spawn = *spawn;
-                            let epoch = flight.new_leader_epoch();
-                            let cancel = Arc::new(AtomicBool::new(false));
-                            this.leader_cancel = Some(Arc::clone(&cancel));
-                            spawn(
-                                &this.engine,
-                                fetch,
-                                this.key.clone(),
-                                shard_index,
-                                this.now,
-                                Arc::clone(&flight),
-                                epoch,
-                                cancel,
-                            );
-                            this.state = LookupState::Waiting {
-                                flight,
-                                slot: WaiterSlot::new(),
-                                leading: Some(epoch),
-                            };
-                            // Loop: poll as leader, registering our waker.
-                        }
-                    }
-                }
+                Step::Lead(flight) => this.lead(flight),
             }
+            // Loop: poll the new state.
         }
     }
 }
 
 impl<V, F> Drop for LookupFuture<V, F> {
     fn drop(&mut self) {
-        // A cancelled *leader* flips its cancellation flag: a spawned fetch
-        // task that has not started yet observes it, skips the closure
-        // entirely and abandons the flight (leadership moves to a waiter; a
+        // A cancelled *spawned leader* flips its cancellation flag: a task
+        // that has not started its next attempt observes it, skips the
+        // closure and abandons the flight (leadership moves to a waiter; a
         // waiterless cell is retired).  A fetch already running is past the
         // check and completes the flight for the remaining waiters — either
         // way nobody is stranded.
         if let Some(cancel) = &self.leader_cancel {
             cancel.store(true, Ordering::Release);
         }
-        // A cancelled waiter must deregister; if it had been woken to take
-        // over an abandoned flight, forget_waiter passes the wake along so
-        // no takeover is lost, and if it was the *last* waiter of an
-        // abandoned flight, the cell is retired from the in-flight table.
-        if let LookupState::Waiting {
-            flight,
-            slot,
-            leading: None,
-        } = &mut self.state
-        {
-            let shard_index = self.shard.expect("set before waiting");
-            // Shard lock first, then the flight's lock inside forget_waiter —
-            // the same order abandon_flight uses.
-            let mut state = self.engine.inner.shards[shard_index].lock();
-            if flight.forget_waiter(slot)
-                && state
-                    .inflight
-                    .get(&self.key)
-                    .is_some_and(|entry| Arc::ptr_eq(entry, flight))
-            {
-                state.inflight.remove(&self.key);
-            }
-        }
-    }
-}
-
-/// Abandons the leader's flight if its inline fetch panics, so waiters are
-/// not stranded on a flight that will never complete.  Exactly one waiter is
-/// woken to take over leadership of the same cell; with no waiters at all
-/// the cell is retired from the in-flight table (see
-/// [`Watchman::abandon_flight`]).
-struct AbandonGuard<'a, V>
-where
-    V: CachePayload + Send + Sync + 'static,
-{
-    engine: &'a Watchman<V>,
-    key: &'a QueryKey,
-    shard_index: usize,
-    flight: &'a Arc<Flight<V>>,
-}
-
-impl<V> Drop for AbandonGuard<'_, V>
-where
-    V: CachePayload + Send + Sync + 'static,
-{
-    fn drop(&mut self) {
-        self.engine
-            .abandon_flight(self.key, self.shard_index, self.flight);
-    }
-}
-
-/// How a [`TryLookupFuture`]'s leader runs its fallible fetch.  Unlike
-/// [`FetchDriver`], the inline closure is stored directly (not as an
-/// `Option`): retries re-invoke it, so it is `FnMut` and never consumed.
-enum TryFetchDriver<V, F> {
-    Inline(F),
-    Spawn {
-        fetch: Option<F>,
-        spawn: SpawnTryFetch<V, F>,
-    },
-}
-
-enum TryLookupState<V> {
-    Start,
-    Waiting {
-        flight: Arc<Flight<V>>,
-        slot: WaiterSlot,
-        /// `Some(epoch)` when this session leads via a spawned fetch task.
-        leading: Option<u64>,
-    },
-    /// An *inline* leader sleeping out a retry backoff on the runtime timer.
-    /// The flight stays pending (this session still leads it); waiters keep
-    /// coalescing onto it while the backoff elapses.
-    Backoff {
-        flight: Arc<Flight<V>>,
-        sleep: Sleep,
-    },
-    Finished,
-}
-
-/// What one fallible poll step decided.
-enum TryStep<V> {
-    Return(Lookup<V>),
-    /// Resolve a failure for *this* session: stale-serve if the staleness
-    /// policy allows, otherwise surface the shared error.
-    Resolve {
-        error: Arc<FetchError>,
-        negative_hit: bool,
-    },
-    BecomeWaiter(Arc<Flight<V>>),
-    Lead(Arc<Flight<V>>),
-    TakeOver(Arc<Flight<V>>),
-    Suspend,
-    LeaderFailed(Option<Box<dyn std::any::Any + Send>>),
-}
-
-/// The future returned by [`Watchman::try_get_or_execute_async`] (and driven
-/// by [`block_on`](crate::runtime::block_on) inside the synchronous
-/// [`Watchman::try_get_or_execute`]).
-///
-/// Resolves to `Ok(`[`Lookup`]`)` — including [`LookupSource::Stale`] serves
-/// — or `Err(`[`LookupError`]`)` carrying the shared `Arc<FetchError>`.
-/// Lazy and cancellation-safe with the same semantics as [`LookupFuture`].
-pub struct TryLookupFuture<V, F> {
-    engine: Watchman<V>,
-    key: QueryKey,
-    shard: Option<usize>,
-    now: Timestamp,
-    driver: TryFetchDriver<V, F>,
-    state: TryLookupState<V>,
-    /// Fetch attempts this session has made as the inline leader of the
-    /// current flight (spawned leaders count inside their task instead).
-    attempts: u32,
-    leader_cancel: Option<Arc<AtomicBool>>,
-    /// When this session first touched the engine (see [`LookupFuture`]).
-    started: Option<Instant>,
-}
-
-impl<V, F> std::fmt::Debug for TryLookupFuture<V, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TryLookupFuture")
-            .field("key", &self.key)
-            .field("now", &self.now)
-            .field("attempts", &self.attempts)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<V, F> Future for TryLookupFuture<V, F>
-where
-    V: CachePayload + Send + Sync + 'static,
-    F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Unpin,
-{
-    type Output = Result<Lookup<V>, LookupError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        if this.started.is_none() {
-            this.started = Some(crate::telemetry::now());
-        }
-        loop {
-            let step = match &mut this.state {
-                TryLookupState::Finished => panic!("TryLookupFuture polled after completion"),
-                TryLookupState::Start => {
-                    this.engine.observe_now(this.now);
-                    let shard_index = *this
-                        .shard
-                        .get_or_insert_with(|| this.engine.shard_index(&this.key));
-                    let mut state = this.engine.inner.shards[shard_index].lock();
-                    if let Some(value) = state.cache.get(&this.key, this.now) {
-                        TryStep::Return(Lookup {
-                            value: Arc::clone(value),
-                            source: LookupSource::Hit,
-                            outcome: None,
-                        })
-                    } else if let Some(flight) = state.inflight.get(&this.key) {
-                        // A live flight wins over a memoized failure: the
-                        // in-flight leader may be retrying its way to a
-                        // success this session can share.
-                        TryStep::BecomeWaiter(Arc::clone(flight))
-                    } else if let Some(error) = state.failure.fresh_negative(&this.key, this.now) {
-                        this.engine
-                            .inner
-                            .negative_hits
-                            .fetch_add(1, Ordering::Relaxed);
-                        crate::telemetry::global().negative_hits.incr();
-                        TryStep::Resolve {
-                            error,
-                            negative_hit: true,
-                        }
-                    } else {
-                        // The breaker's admit() is the half-open probe
-                        // ticket: a refused shard degrades without ever
-                        // invoking the fetch.
-                        let admitted = match state.failure.breaker.as_mut() {
-                            Some(breaker) => breaker.admit(this.now),
-                            None => true,
-                        };
-                        if admitted {
-                            let flight = Arc::new(Flight::new());
-                            state.inflight.insert(this.key.clone(), Arc::clone(&flight));
-                            TryStep::Lead(flight)
-                        } else {
-                            TryStep::Resolve {
-                                error: Arc::new(FetchError::transient(
-                                    "circuit breaker open: fetch refused",
-                                )),
-                                negative_hit: false,
-                            }
-                        }
-                    }
-                }
-                TryLookupState::Waiting {
-                    flight,
-                    slot: _,
-                    leading: Some(epoch),
-                } => match flight.poll_leader(*epoch, cx) {
-                    Poll::Pending => TryStep::Suspend,
-                    Poll::Ready(LeaderOutcome::Done(value, _cost)) => {
-                        let outcome = flight.take_outcome();
-                        TryStep::Return(Lookup {
-                            value,
-                            source: LookupSource::Executed,
-                            outcome,
-                        })
-                    }
-                    Poll::Ready(LeaderOutcome::Failed(payload)) => TryStep::LeaderFailed(payload),
-                    Poll::Ready(LeaderOutcome::Error(error)) => TryStep::Resolve {
-                        error,
-                        negative_hit: false,
-                    },
-                },
-                TryLookupState::Waiting {
-                    flight,
-                    slot,
-                    leading: None,
-                } => match flight.poll_wait(slot, cx) {
-                    Poll::Pending => TryStep::Suspend,
-                    Poll::Ready(FlightOutcome::Done(value, cost)) => {
-                        let shard_index = this.shard.expect("set before waiting");
-                        {
-                            let mut state = this.engine.inner.shards[shard_index].lock();
-                            state.cache.record_coalesced_reference(cost);
-                        }
-                        this.engine
-                            .inner
-                            .coalesced_misses
-                            .fetch_add(1, Ordering::Relaxed);
-                        TryStep::Return(Lookup {
-                            value,
-                            source: LookupSource::Coalesced,
-                            outcome: None,
-                        })
-                    }
-                    Poll::Ready(FlightOutcome::TakeOver) => TryStep::TakeOver(Arc::clone(flight)),
-                    // The leader's terminal error resolved the flight for
-                    // every coalesced waiter at once; all of them share one
-                    // `Arc<FetchError>` (and each resolves its own
-                    // stale-vs-error outcome below).
-                    Poll::Ready(FlightOutcome::Failed(error)) => TryStep::Resolve {
-                        error,
-                        negative_hit: false,
-                    },
-                },
-                TryLookupState::Backoff { flight, sleep } => match Pin::new(sleep).poll(cx) {
-                    Poll::Pending => TryStep::Suspend,
-                    // Backoff elapsed: resume leading the same flight with
-                    // the next attempt.
-                    Poll::Ready(()) => TryStep::Lead(Arc::clone(flight)),
-                },
-            };
-
-            // Resolve a takeover into a hit or fresh leadership, exactly
-            // like the infallible path.
-            let step = match step {
-                TryStep::TakeOver(flight) => {
-                    let shard_index = this.shard.expect("set before waiting");
-                    let cached = {
-                        let mut state = this.engine.inner.shards[shard_index].lock();
-                        state.cache.get(&this.key, this.now).map(Arc::clone)
-                    };
-                    match cached {
-                        Some(value) => {
-                            this.engine.abandon_flight(&this.key, shard_index, &flight);
-                            TryStep::Return(Lookup {
-                                value,
-                                source: LookupSource::Hit,
-                                outcome: None,
-                            })
-                        }
-                        None => {
-                            // Fresh leadership on the taken-over cell: this
-                            // session's own retry budget starts from zero.
-                            this.attempts = 0;
-                            TryStep::Lead(flight)
-                        }
-                    }
-                }
-                other => other,
-            };
-
-            match step {
-                TryStep::TakeOver(_) => unreachable!("resolved into Return or Lead above"),
-                TryStep::Suspend => return Poll::Pending,
-                TryStep::Return(lookup) => {
-                    this.state = TryLookupState::Finished;
-                    record_lookup_telemetry(this.started, lookup.source);
-                    return Poll::Ready(Ok(lookup));
-                }
-                TryStep::Resolve {
-                    error,
-                    negative_hit,
-                } => {
-                    let shard_index = this.shard.expect("set before resolving");
-                    this.state = TryLookupState::Finished;
-                    let result = this.engine.resolve_failed_lookup(
-                        &this.key,
-                        shard_index,
-                        this.now,
-                        error,
-                        negative_hit,
-                    );
-                    match &result {
-                        Ok(lookup) => record_lookup_telemetry(this.started, lookup.source),
-                        Err(_) => record_lookup_error_telemetry(this.started),
-                    }
-                    return Poll::Ready(result);
-                }
-                TryStep::BecomeWaiter(flight) => {
-                    this.state = TryLookupState::Waiting {
-                        flight,
-                        slot: WaiterSlot::new(),
-                        leading: None,
-                    };
-                }
-                TryStep::LeaderFailed(payload) => {
-                    this.state = TryLookupState::Finished;
-                    match payload {
-                        Some(payload) => std::panic::resume_unwind(payload),
-                        None => panic!("single-flight leader fetch failed"),
-                    }
-                }
-                TryStep::Lead(flight) => {
-                    let shard_index = this.shard.expect("set before leading");
-                    match &mut this.driver {
-                        TryFetchDriver::Inline(fetch) => {
-                            loop {
-                                this.attempts += 1;
-                                // Armed through the fetch and (on success)
-                                // the completion stage: a panic anywhere
-                                // before `complete` hands the flight to a
-                                // waiter, mirroring the infallible path.
-                                let guard = AbandonGuard {
-                                    engine: &this.engine,
-                                    key: &this.key,
-                                    shard_index,
-                                    flight: &flight,
-                                };
-                                let fetch_start = crate::telemetry::now();
-                                let fetched = fetch();
-                                crate::telemetry::global()
-                                    .fetch_attempt_us
-                                    .record(crate::telemetry::elapsed_us(fetch_start));
-                                match fetched {
-                                    Ok((value, cost)) => {
-                                        let value = Arc::new(value);
-                                        let outcome = this.engine.finish_leader_insert_with(
-                                            &this.key,
-                                            shard_index,
-                                            &flight,
-                                            Arc::clone(&value),
-                                            cost,
-                                            this.now,
-                                            true,
-                                        );
-                                        flight.complete(Arc::clone(&value), cost);
-                                        std::mem::forget(guard);
-                                        this.state = TryLookupState::Finished;
-                                        record_lookup_telemetry(
-                                            this.started,
-                                            LookupSource::Executed,
-                                        );
-                                        return Poll::Ready(Ok(Lookup {
-                                            value,
-                                            source: LookupSource::Executed,
-                                            outcome: Some(outcome),
-                                        }));
-                                    }
-                                    Err(error) => {
-                                        // The error is handled explicitly —
-                                        // the flight must NOT be abandoned.
-                                        std::mem::forget(guard);
-                                        let retry = &this.engine.inner.failure.retry;
-                                        if error.is_retryable()
-                                            && this.attempts < retry.max_attempts
-                                        {
-                                            this.engine
-                                                .inner
-                                                .fetch_retries
-                                                .fetch_add(1, Ordering::Relaxed);
-                                            let delay = retry.backoff(
-                                                this.attempts,
-                                                this.key.signature().value(),
-                                            );
-                                            let telemetry = crate::telemetry::global();
-                                            telemetry.fetch_retries.incr();
-                                            telemetry.recorder.record(
-                                                TraceKind::FetchRetry,
-                                                this.key.signature().value(),
-                                                u64::from(this.attempts),
-                                                delay.as_micros() as u64,
-                                            );
-                                            if delay.is_zero() {
-                                                continue;
-                                            }
-                                            let sleep = this.engine.runtime().sleep(delay);
-                                            this.state = TryLookupState::Backoff { flight, sleep };
-                                            break;
-                                        }
-                                        let error = Arc::new(error);
-                                        this.engine.fail_leader(
-                                            &this.key,
-                                            shard_index,
-                                            &flight,
-                                            &error,
-                                            this.now,
-                                        );
-                                        flight.fail(Arc::clone(&error));
-                                        this.state = TryLookupState::Finished;
-                                        let result = this.engine.resolve_failed_lookup(
-                                            &this.key,
-                                            shard_index,
-                                            this.now,
-                                            error,
-                                            false,
-                                        );
-                                        match &result {
-                                            Ok(lookup) => {
-                                                record_lookup_telemetry(this.started, lookup.source)
-                                            }
-                                            Err(_) => record_lookup_error_telemetry(this.started),
-                                        }
-                                        return Poll::Ready(result);
-                                    }
-                                }
-                            }
-                            // Fell out via `break`: poll the backoff sleep.
-                        }
-                        TryFetchDriver::Spawn { fetch, spawn } => {
-                            let fetch = fetch.take().expect("leader consumes its fetch once");
-                            let spawn = *spawn;
-                            let epoch = flight.new_leader_epoch();
-                            let cancel = Arc::new(AtomicBool::new(false));
-                            this.leader_cancel = Some(Arc::clone(&cancel));
-                            spawn(
-                                &this.engine,
-                                fetch,
-                                this.key.clone(),
-                                shard_index,
-                                this.now,
-                                Arc::clone(&flight),
-                                epoch,
-                                cancel,
-                            );
-                            this.state = TryLookupState::Waiting {
-                                flight,
-                                slot: WaiterSlot::new(),
-                                leading: Some(epoch),
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<V, F> Drop for TryLookupFuture<V, F> {
-    fn drop(&mut self) {
-        if let Some(cancel) = &self.leader_cancel {
-            cancel.store(true, Ordering::Release);
-        }
+        let Some(shard_index) = self.shard else {
+            return;
+        };
         match &mut self.state {
-            // A cancelled waiter deregisters, passing along any takeover
-            // claim (see LookupFuture's Drop).
-            TryLookupState::Waiting {
+            // A cancelled waiter must deregister; if it had been woken to
+            // take over an abandoned flight, forget_waiter passes the wake
+            // along so no takeover is lost, and if it was the *last* waiter
+            // of an abandoned flight, the cell is retired.
+            LookupState::Waiting { flight, slot } => {
+                // Shard lock first, then the flight's lock inside
+                // forget_waiter — the same order abandon_flight uses.
+                let mut state = self.engine.inner.shards[shard_index].lock();
+                if flight.forget_waiter(slot) {
+                    state.retire_flight(&self.key, flight);
+                }
+            }
+            // An in-place leader task that has not resolved its flight (it
+            // was sleeping out a retry backoff) still owns it: abandon it so
+            // a waiter takes leadership over with its own fetch (a
+            // waiterless cell is retired).  A task that resolved the flight
+            // is already gone from the state, so this abandons at most once.
+            LookupState::Leading {
                 flight,
-                slot,
-                leading: None,
-            } => {
-                let shard_index = self.shard.expect("set before waiting");
-                let mut state = self.engine.inner.shards[shard_index].lock();
-                if flight.forget_waiter(slot)
-                    && state
-                        .inflight
-                        .get(&self.key)
-                        .is_some_and(|entry| Arc::ptr_eq(entry, flight))
-                {
-                    state.inflight.remove(&self.key);
-                }
-            }
-            // An inline leader dropped mid-backoff still owns a pending
-            // flight: abandon it so a waiter takes leadership over with its
-            // own fetch (a waiterless cell is retired).  Open-coded (rather
-            // than `abandon_flight`) because `Drop` carries no `V` bounds;
-            // same locks, same order.
-            TryLookupState::Backoff { flight, .. } => {
-                let shard_index = self.shard.expect("set before leading");
-                let mut state = self.engine.inner.shards[shard_index].lock();
-                if flight.abandon() == 0
-                    && state
-                        .inflight
-                        .get(&self.key)
-                        .is_some_and(|entry| Arc::ptr_eq(entry, flight))
-                {
-                    state.inflight.remove(&self.key);
-                }
-            }
+                task: Some(_),
+                ..
+            } => self.engine.abandon_flight(&self.key, shard_index, flight),
             _ => {}
         }
     }
@@ -2879,12 +2357,13 @@ impl<V, F> std::fmt::Debug for DeadlineLookup<V, F> {
     }
 }
 
-impl<V, F> Future for DeadlineLookup<V, F>
+impl<V, F, E> Future for DeadlineLookup<V, F>
 where
     V: CachePayload + Send + Sync + 'static,
-    F: FnOnce() -> (V, ExecutionCost) + Unpin,
+    F: FnMut() -> Result<(V, ExecutionCost), E> + Unpin,
+    E: FetchFailure,
 {
-    type Output = Result<Lookup<V>, LookupTimedOut>;
+    type Output = Result<E::Output<V>, LookupTimedOut>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();

@@ -13,8 +13,8 @@
 //!   (itself a future) for its output;
 //! * [`block_on`] — drives any future to completion on the calling thread,
 //!   parking between polls.  This is the bridge the synchronous engine entry
-//!   points use: `get_or_execute` is literally `block_on(get_or_execute_async
-//!   (..))`.
+//!   points use: `get_or_execute` blocks on the same lookup future
+//!   `get_or_execute_async` returns, with the leader's fetch inline.
 //!
 //! ## Scheduling model
 //!

@@ -93,6 +93,192 @@ fn busy_engine_keeps_the_lock_graph_acyclic() {
     lock_graph::assert_clean();
 }
 
+/// The fallible pipeline's paths through the one lookup machine: an inline
+/// leader sleeping out retry backoffs while waiters coalesce onto its
+/// flight, a terminal failure memoized and answered from the negative
+/// cache, a stale serve from the last-known-good store, a leader cancelled
+/// by its deadline and a spawned leader dropped mid-backoff.  Breaker, negative-cache and stale
+/// store all live under the shard lock, so the graph must stay acyclic
+/// with them in play.
+#[test]
+fn fallible_pipeline_keeps_the_lock_graph_acyclic() {
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::sync::mpsc;
+    use std::task::{Context, Waker};
+    use std::time::Duration;
+    use watchman_core::engine::{
+        BreakerConfig, FailureConfig, FetchError, LookupSource, RetryPolicy, StalenessPolicy,
+    };
+
+    let engine: Watchman<SizedPayload> = Watchman::builder()
+        .shards(2)
+        .policy(PolicyKind::LncRa { k: 4 })
+        .capacity_bytes(40_000)
+        .runtime_workers(2)
+        .failure(FailureConfig {
+            retry: RetryPolicy {
+                max_attempts: 3,
+                base_delay: Duration::from_millis(2),
+                max_delay: Duration::from_millis(5),
+                jitter_seed: 11,
+            },
+            // Fed and consulted on every fallible lookup, but loose enough
+            // never to trip in this scenario.
+            breaker: Some(BreakerConfig {
+                failure_threshold: 0.9,
+                min_samples: 8,
+                ..BreakerConfig::default()
+            }),
+            staleness: Some(StalenessPolicy::default()),
+            ..FailureConfig::default()
+        })
+        .build();
+    let ok = || Ok((SizedPayload::new(600), ExecutionCost::from_blocks(30)));
+    let ts = Timestamp::from_micros;
+
+    // Retry backoff with coalesced waiters: the sync leader fails twice
+    // (each failure parks it in a timer backoff) and succeeds on its third
+    // attempt; the async waiters that joined meanwhile share its value.
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        let leader = {
+            let engine = engine.clone();
+            scope.spawn(move || {
+                let mut attempt = 0;
+                engine.try_get_or_execute(&QueryKey::new("flaky"), ts(1), || {
+                    attempt += 1;
+                    if attempt == 1 {
+                        started_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                    }
+                    if attempt < 3 {
+                        Err(FetchError::transient("warehouse hiccup"))
+                    } else {
+                        ok()
+                    }
+                })
+            })
+        };
+        started_rx.recv().unwrap();
+        let waiters: Vec<_> = (0..3)
+            .map(|i| {
+                let engine = engine.clone();
+                scope.spawn(move || {
+                    block_on(engine.try_get_or_execute_async(
+                        &QueryKey::new("flaky"),
+                        ts(2 + i),
+                        || unreachable!("waiters coalesce onto the retrying leader"),
+                    ))
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        release_tx.send(()).unwrap();
+        let led = leader.join().unwrap().expect("third attempt succeeds");
+        assert_eq!(led.source, LookupSource::Executed);
+        for waiter in waiters {
+            let lookup = waiter.join().unwrap().expect("waiters share the value");
+            assert_eq!(lookup.source, LookupSource::Coalesced);
+        }
+    });
+    assert_eq!(engine.fetch_retries(), 2);
+
+    // A terminal failure, then a negative hit on the memoized error.
+    let fatal = || Err::<(SizedPayload, ExecutionCost), _>(FetchError::fatal("relation dropped"));
+    let first = engine
+        .try_get_or_execute(&QueryKey::new("doomed"), ts(10), fatal)
+        .expect_err("fatal errors surface");
+    assert!(!first.negative_hit);
+    let memoized = block_on(engine.try_get_or_execute_async(
+        &QueryKey::new("doomed"),
+        ts(11),
+        || unreachable!("answered from the negative cache"),
+    ))
+    .expect_err("memoized failure");
+    assert!(memoized.negative_hit);
+
+    // A stale serve: the cached copy is cleared (the last-known-good store
+    // survives a clear) and the refetch fails.
+    engine
+        .try_get_or_execute(&QueryKey::new("report"), ts(20), ok)
+        .expect("priming fetch");
+    engine.clear();
+    let stale = block_on(
+        engine.try_get_or_execute_async(&QueryKey::new("report"), ts(21), || {
+            Err(FetchError::transient("warehouse down"))
+        }),
+    )
+    .expect("stale serve");
+    assert_eq!(stale.source, LookupSource::Stale);
+
+    // A leader cancelled by its deadline: the session gives up while its
+    // fetch runs, and the fetch still completes the flight for later
+    // sessions.
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let timed_out = block_on(engine.get_or_execute_async_with_timeout(
+        &QueryKey::new("deadline"),
+        ts(30),
+        Duration::from_millis(10),
+        move || {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+            (SizedPayload::new(600), ExecutionCost::from_blocks(30))
+        },
+    ));
+    assert!(
+        timed_out.is_err(),
+        "the deadline fires before the fetch ends"
+    );
+    started_rx.recv().unwrap();
+    release_tx.send(()).unwrap();
+    let after = engine
+        .try_get_or_execute(&QueryKey::new("deadline"), ts(31), ok)
+        .expect("the fetch's result serves later sessions");
+    assert_ne!(after.source, LookupSource::Executed);
+
+    // A spawned leader dropped mid-attempt: its first attempt fails only
+    // once the session is gone, so the task's next cancellation check skips
+    // the retry and abandons the flight, retiring the cell.
+    let attempts = Arc::new(AtomicU64::new(0));
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (dropped_tx, dropped_rx) = mpsc::channel::<()>();
+    let mut cancelled = {
+        let attempts = Arc::clone(&attempts);
+        engine.try_get_or_execute_async(&QueryKey::new("dropped"), ts(40), move || {
+            attempts.fetch_add(1, Ordering::SeqCst);
+            started_tx.send(()).unwrap();
+            dropped_rx.recv().unwrap();
+            Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("hiccup"))
+        })
+    };
+    let mut cx = Context::from_waker(Waker::noop());
+    assert!(Pin::new(&mut cancelled).poll(&mut cx).is_pending());
+    started_rx.recv().unwrap();
+    drop(cancelled);
+    dropped_tx.send(()).unwrap();
+    // Joining the abandoned flight or starting a fresh one, this session
+    // leads the key's next execution.
+    let fresh = engine
+        .try_get_or_execute(&QueryKey::new("dropped"), ts(41), ok)
+        .expect("the key executes again");
+    assert_eq!(fresh.source, LookupSource::Executed);
+    assert_eq!(
+        attempts.load(Ordering::SeqCst),
+        1,
+        "no retry after the drop"
+    );
+
+    let report = lock_graph::report();
+    assert!(
+        !report.edges.is_empty(),
+        "no lock-order edges recorded — is the instrumentation compiled in?"
+    );
+    lock_graph::assert_clean();
+}
+
 /// The IO reactor's two lock classes — the registration table and the
 /// per-registration readiness cells — are documented as **leaves** of the
 /// lock hierarchy (`CONCURRENCY.md`): they may be acquired while a task's

@@ -11,11 +11,12 @@
 //!   format and versioning rules are specified in its module docs);
 //! * [`server`] — `watchmand`: an accept *task* on the engine's runtime
 //!   spawns one session *task* per connection over the runtime's epoll
-//!   reactor (sessions are parked futures, not threads); lookups run
+//!   reactor (sessions are parked futures, not threads); every `GET` runs
 //!   through
-//!   [`get_or_execute_async`](watchman_core::engine::Watchman::get_or_execute_async),
-//!   so hits never suspend and concurrent misses on one query coalesce
-//!   **across connections** into a single execution;
+//!   [`try_get_or_execute_async`](watchman_core::engine::Watchman::try_get_or_execute_async),
+//!   so hits never suspend, concurrent misses on one query coalesce
+//!   **across connections** into a single execution, and fetch failures
+//!   degrade through the engine's failure domain;
 //! * [`client`] — a typed client with pipelining and transparent
 //!   reconnect;
 //! * [`replay`] — the simulator's replay drivers over real sockets: a
