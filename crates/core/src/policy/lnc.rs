@@ -531,6 +531,12 @@ impl<V: CachePayload> LncCache<V> {
 
     /// Applies the §2.4 retention policy: drop retained histories whose
     /// profit is below the least profit among cached sets.
+    ///
+    /// This runs after every admission and every admission rejection, so
+    /// its cost is paid on each LNC-RA miss: one pass over the store's
+    /// packed profit inputs, where a multiply-only pre-filter passes over
+    /// the histories clearly above the threshold and the exact Eq. 2
+    /// comparison judges the rest.
     fn purge_retained(&mut self, now: Timestamp) {
         if !self.config.retain_reference_info || self.retained.is_empty() {
             return;
@@ -838,10 +844,6 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
         LncCache::min_cached_profit(self, now)
     }
 
-    fn max_retained_profit(&mut self, now: Timestamp) -> Option<Profit> {
-        self.retained.iter().map(|info| info.profit(now)).max()
-    }
-
     fn shrink_loss(&mut self, bytes: u64, now: Timestamp) -> Option<Profit> {
         // Shrinking into free space costs nothing.
         let free = self.config.capacity_bytes.saturating_sub(self.used_bytes);
@@ -863,20 +865,11 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
             return Some(Profit::ZERO);
         }
         // Greedily pack the most profitable retained (denied-residency) sets
-        // into the hypothetical extra capacity.
-        let mut free = bytes;
-        let mut packed = Vec::new();
-        for info in self.retained.ranked_by_profit_desc(now) {
-            if info.size_bytes <= free {
-                free -= info.size_bytes;
-                packed.push((
-                    info.history.rate(now).unwrap_or(0.0),
-                    info.cost,
-                    info.size_bytes,
-                ));
-            }
-        }
-        Some(Profit::of_list(packed))
+        // into the hypothetical extra capacity.  The store ranks only the
+        // sets that fit the step and scores each once from its packed
+        // profit inputs; the order (profit descending, then signature) and
+        // the Eq. 5 sum are those of a sort over every retained history.
+        Some(self.retained.greedy_pack(bytes, now))
     }
 
     fn stats(&self) -> &CacheStats {

@@ -39,7 +39,11 @@
 //! allocation, reuses the order outright for decisions at an unchanged
 //! timestamp, and keeps admissions and hits constant-time (they only mark
 //! the cache dirty).  ² With a current ranking; falls back to the O(n) scan
-//! otherwise.
+//! otherwise.  Beyond the table, each LNC-RA admission decision (admit or
+//! reject) makes one pass over the `r` retained §2.4 histories to purge
+//! those below the least cached profit, and `grow_gain` ranks the retained
+//! sets that fit its step — both over the packed profit inputs of
+//! [`crate::retained::RetainedStore`].
 //!
 //! The per-policy scan implementations these indexes replaced are retained
 //! under `#[cfg(test)]` as differential-test oracles: the `differential`
@@ -254,21 +258,6 @@ pub trait QueryCache<V: CachePayload> {
     /// index may lazily re-score or compact it.  The cache contents and
     /// statistics are never changed.
     fn min_cached_profit(&mut self, now: Timestamp) -> Option<Profit>;
-
-    /// The highest profit among sets the policy recently denied residency
-    /// (evicted or rejected) but still remembers, or `None` when the policy
-    /// does not retain such information.
-    ///
-    /// LNC-RA's §2.4 retained reference information makes this exact: it is
-    /// the `λ·c/s` of the most valuable set the cache turned away, i.e. the
-    /// *marginal gain* of giving the cache more capacity.  The engine's
-    /// rebalancer grows a shard when its marginal gain exceeds another
-    /// shard's marginal loss.  Policies without retained information return
-    /// `None` (the default) and the rebalancer falls back to
-    /// rejection/eviction pressure.
-    fn max_retained_profit(&mut self, _now: Timestamp) -> Option<Profit> {
-        None
-    }
 
     /// The aggregate profit (Eq. 5: `Σλc / Σs`) of the sets this cache would
     /// evict to shrink by `bytes` — what a capacity donation of that size

@@ -230,3 +230,63 @@ fn async_engine_serves_suspended_sessions_end_to_end() {
     );
     assert!(engine.used_bytes() <= engine.capacity_bytes());
 }
+
+#[test]
+fn rebalanced_lnc_ra_replay_is_pinned() {
+    // The steady-state serving shape of the tpcd_churn workload in miniature:
+    // a skewed TPC-D trace through a 4-shard LNC-RA engine at 1% of the
+    // database, with a rebalance pass every 128 records.  Every admission,
+    // eviction and capacity move depends on the §2.4 retained store (its
+    // purge threshold and its grow-gain packing), so these exact figures pin
+    // that store's decisions across changes to its data layout.
+    let trace = Workload::tpcd_skewed(ExperimentScale::quick(20_000).with_seed(1)).trace;
+    let engine: Watchman<SizedPayload> = Watchman::builder()
+        .shards(4)
+        .policy(PolicyKind::LNC_RA)
+        .capacity_bytes((trace.database_bytes as f64 * 0.01) as u64)
+        .rebalance(RebalanceConfig::new().manual())
+        .build();
+    for (index, record) in trace.iter().enumerate() {
+        let now = Timestamp::from_micros(record.timestamp_us);
+        let key = QueryKey::from_raw_query(&record.query_text);
+        engine.get_or_execute(&key, now, || {
+            (
+                SizedPayload::new(record.result_bytes),
+                ExecutionCost::from_blocks(record.cost_blocks),
+            )
+        });
+        if (index + 1) % 128 == 0 {
+            engine.rebalance_now(now);
+        }
+    }
+
+    let stats = engine.stats_snapshot().total;
+    let counters = [
+        stats.references,
+        stats.hits,
+        stats.coalesced,
+        stats.fetch_errors,
+        stats.stale_serves,
+        stats.insertions_offered,
+        stats.admissions,
+        stats.rejections,
+        stats.evictions,
+        stats.bytes_evicted,
+    ];
+    assert_eq!(
+        counters,
+        [20_000, 10_642, 0, 0, 0, 9_358, 1_452, 7_906, 945, 1_945_208],
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.saved_cost.to_bits(),
+        0x417f_ae52_3000_0000,
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.total_cost.to_bits(),
+        0x4192_df59_e400_0000,
+        "{stats:?}"
+    );
+    assert_eq!(engine.shard_capacities(), [80_894, 65_485, 100_153, 61_633]);
+}
